@@ -15,29 +15,64 @@ namespace {
 // is itself a plan-quality decision: route it through the model. A
 // disjunct the model cannot order (not orderable under the greedy rule)
 // keeps its PLAN* order, which is executable by construction.
-UnionQuery ReorderPlan(const UnionQuery& plan, const Catalog& catalog,
-                       const CostModel& model) {
-  UnionQuery out;
-  for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
-    std::optional<ConjunctiveQuery> ordered =
-        OptimizeLiteralOrder(disjunct, catalog, model);
-    out.AddDisjunct(ordered.has_value() ? std::move(*ordered) : disjunct);
+ConjunctiveQuery ReorderDisjunct(const ConjunctiveQuery& disjunct,
+                                 const Catalog& catalog,
+                                 const CostModel& model) {
+  std::optional<ConjunctiveQuery> ordered =
+      OptimizeLiteralOrder(disjunct, catalog, model);
+  return ordered.has_value() ? std::move(*ordered) : disjunct;
+}
+
+// Reorders both plans. Every disjunct PLAN* found fully answerable sits in
+// Qᵘ and, unchanged, in Qᵒ (a feasible query has Qᵘ = Qᵒ), so a Qᵒ
+// disjunct equal to a Qᵘ disjunct reuses the order already chosen for it
+// instead of being priced again. No fetch runs between the two reorders,
+// so the model would choose that same order anyway.
+void ReorderPlans(const UnionQuery& under, const UnionQuery& over,
+                  const Catalog& catalog, const CostModel& model,
+                  UnionQuery* under_out, UnionQuery* over_out) {
+  const std::vector<ConjunctiveQuery>& under_disjuncts = under.disjuncts();
+  std::vector<ConjunctiveQuery> under_ordered;
+  under_ordered.reserve(under_disjuncts.size());
+  for (const ConjunctiveQuery& disjunct : under_disjuncts) {
+    under_ordered.push_back(ReorderDisjunct(disjunct, catalog, model));
   }
-  return out;
+  for (const ConjunctiveQuery& disjunct : over.disjuncts()) {
+    auto same = std::find(under_disjuncts.begin(), under_disjuncts.end(),
+                          disjunct);
+    over_out->AddDisjunct(
+        same != under_disjuncts.end()
+            ? under_ordered[same - under_disjuncts.begin()]
+            : ReorderDisjunct(disjunct, catalog, model));
+  }
+  *under_out = UnionQuery(std::move(under_ordered));
 }
 
 }  // namespace
 
 AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
                             Source* source, const ExecutionOptions& options) {
-  AnswerStarReport report;
-  report.plans = PlanStar(q, catalog);
+  PlanStarResult plans = PlanStar(q, catalog);
+  AnswerStarReport report =
+      AnswerStar(plans.under, plans.over, catalog, source, options);
+  report.plans = std::move(plans);
+  return report;
+}
 
-  UnionQuery under_plan = report.plans.under;
-  UnionQuery over_plan = report.plans.over;
+AnswerStarReport AnswerStar(const UnionQuery& under_in,
+                            const UnionQuery& over_in,
+                            const Catalog& catalog, Source* source,
+                            const ExecutionOptions& options) {
+  AnswerStarReport report;
+  const UnionQuery* under_plan = &under_in;
+  const UnionQuery* over_plan = &over_in;
+  UnionQuery under_ordered;
+  UnionQuery over_ordered;
   if (options.cost_model != nullptr) {
-    under_plan = ReorderPlan(under_plan, catalog, *options.cost_model);
-    over_plan = ReorderPlan(over_plan, catalog, *options.cost_model);
+    ReorderPlans(under_in, over_in, catalog, *options.cost_model,
+                 &under_ordered, &over_ordered);
+    under_plan = &under_ordered;
+    over_plan = &over_ordered;
   }
 
   // One stack for both plans: Qᵘ and Qᵒ overlap heavily (the underestimate
@@ -64,9 +99,9 @@ AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
   }
 
   ExecutionResult under =
-      Execute(under_plan, catalog, effective, plan_options);
+      Execute(*under_plan, catalog, effective, plan_options);
   ExecutionResult over =
-      under.ok ? Execute(over_plan, catalog, effective, plan_options)
+      under.ok ? Execute(*over_plan, catalog, effective, plan_options)
                : ExecutionResult{};
   if (stack.has_value()) {
     report.runtime = stack->stats();

@@ -61,6 +61,16 @@ AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
                             Source* source,
                             const ExecutionOptions& options = {});
 
+// ANSWER* over plans PLAN* already produced (Qᵘ and Qᵒ of a
+// PlanStarResult): PLAN* is data-independent, so a caller that serves the
+// same query many times (the daemon's prepared-query cache) runs it once
+// and evaluates the stored plans per request. Identical to the overload
+// above except that `report.plans` stays empty.
+AnswerStarReport AnswerStar(const UnionQuery& under_plan,
+                            const UnionQuery& over_plan,
+                            const Catalog& catalog, Source* source,
+                            const ExecutionOptions& options = {});
+
 }  // namespace ucqn
 
 #endif  // UCQN_EVAL_ANSWER_STAR_H_

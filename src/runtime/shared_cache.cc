@@ -196,7 +196,7 @@ SharedCacheStore::Lookup SharedCacheStore::TryAcquire(
       Erase(shard, it->second);
     } else {
       ++shard.stats.hits;
-      ++shard.per_relation[relation].hits;
+      CountRelationLookup(relation, /*hit=*/true);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       result.state = LookupState::kHit;
       result.tuples = entry.tuples;
@@ -208,12 +208,12 @@ SharedCacheStore::Lookup SharedCacheStore::TryAcquire(
     // hit — no physical call will be made on our behalf.
     ++shard.stats.hits;
     ++shard.stats.flight_waits;
-    ++shard.per_relation[relation].hits;
+    CountRelationLookup(relation, /*hit=*/true);
     result.state = LookupState::kFollower;
     return result;
   }
   ++shard.stats.misses;
-  ++shard.per_relation[relation].misses;
+  CountRelationLookup(relation, /*hit=*/false);
   shard.flights.insert(key);
   result.state = LookupState::kLeader;
   return result;
@@ -467,15 +467,32 @@ SharedCacheStore::Stats SharedCacheStore::stats() const {
   return total;
 }
 
+void SharedCacheStore::CountRelationLookup(const std::string& relation,
+                                           bool hit) {
+  {
+    std::shared_lock<std::shared_mutex> lock(relations_mu_);
+    auto it = relation_totals_.find(relation);
+    if (it != relation_totals_.end()) {
+      (hit ? it->second->hits : it->second->misses)
+          .fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+  std::unique_lock<std::shared_mutex> lock(relations_mu_);
+  std::unique_ptr<RelationTotals>& totals = relation_totals_[relation];
+  if (totals == nullptr) totals = std::make_unique<RelationTotals>();
+  (hit ? totals->hits : totals->misses)
+      .fetch_add(1, std::memory_order_relaxed);
+}
+
 std::map<std::string, SharedCacheStore::RelationCounters>
 SharedCacheStore::relation_counters() const {
   std::map<std::string, RelationCounters> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [relation, counters] : shard->per_relation) {
-      out[relation].hits += counters.hits;
-      out[relation].misses += counters.misses;
-    }
+  std::shared_lock<std::shared_mutex> lock(relations_mu_);
+  for (const auto& [relation, totals] : relation_totals_) {
+    out[relation] = RelationCounters{
+        totals->hits.load(std::memory_order_relaxed),
+        totals->misses.load(std::memory_order_relaxed)};
   }
   return out;
 }
@@ -483,12 +500,12 @@ SharedCacheStore::relation_counters() const {
 double SharedCacheStore::RelationHitRate(const std::string& relation) const {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    auto it = shard->per_relation.find(relation);
-    if (it != shard->per_relation.end()) {
-      hits += it->second.hits;
-      misses += it->second.misses;
+  {
+    std::shared_lock<std::shared_mutex> lock(relations_mu_);
+    auto it = relation_totals_.find(relation);
+    if (it != relation_totals_.end()) {
+      hits = it->second->hits.load(std::memory_order_relaxed);
+      misses = it->second->misses.load(std::memory_order_relaxed);
     }
   }
   const std::uint64_t lookups = hits + misses;

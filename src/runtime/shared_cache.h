@@ -1,6 +1,7 @@
 #ifndef UCQN_RUNTIME_SHARED_CACHE_H_
 #define UCQN_RUNTIME_SHARED_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -296,7 +298,13 @@ class SharedCacheStore {
     std::size_t tuples_held = 0;
     std::size_t bytes_held = 0;
     Stats stats;  // entries/tuples/bytes fields unused; filled on aggregate
-    std::map<std::string, RelationCounters> per_relation;
+  };
+
+  // One relation's lookup ledger. Atomic so an existing relation's
+  // counters move under the shared lock alone.
+  struct RelationTotals {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
   };
 
   Shard& ShardFor(const std::string& key);
@@ -316,6 +324,10 @@ class SharedCacheStore {
   // otherwise collide with the 0 = "never expires" sentinel or land in
   // the past.
   static std::uint64_t ExpiryFor(std::uint64_t now, std::uint64_t ttl);
+  // Counts one lookup of `relation` (a hit, or a miss that became a
+  // leader) in the store-wide per-relation ledger. Called under the
+  // shard lock, at the same points as the shard's own counters.
+  void CountRelationLookup(const std::string& relation, bool hit);
   // Drops `it` from `shard` (lock held). Does not touch counters.
   void Erase(Shard& shard, std::list<Entry>::iterator it);
   // Evicts from the cold end while the shard exceeds its entry/byte
@@ -335,6 +347,14 @@ class SharedCacheStore {
   std::unordered_map<std::string, std::uint64_t> relation_ttls_;
   std::uint64_t negative_ttl_micros_;  // guarded by ttl_mu_
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Per-relation lookup totals for the whole store: RelationHitRate (the
+  // adaptive model asks it for every candidate it prices) and
+  // relation_counters read this one map instead of locking every shard.
+  // Relations are only ever added; the counters never reset. Lock order:
+  // a shard's mu, then relations_mu_.
+  mutable std::shared_mutex relations_mu_;
+  std::unordered_map<std::string, std::unique_ptr<RelationTotals>>
+      relation_totals_;
 };
 
 }  // namespace ucqn

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ast/parser.h"
-#include "feasibility/compile.h"
 #include "server/snapshot.h"
 
 namespace ucqn {
@@ -15,6 +14,8 @@ QueryDaemon::QueryDaemon(const Catalog* catalog, Source* backend,
     : options_(std::move(options)),
       catalog_(catalog),
       backend_(backend),
+      estimates_(CardinalityEstimates::FromCatalog(*catalog)),
+      prepared_(catalog),
       store_(options_.cache),
       tenants_(options_.default_quota),
       admission_(options_.admission) {}
@@ -54,6 +55,8 @@ ServiceResponse QueryDaemon::Submit(const ServiceRequest& request) {
   SessionEnv env;
   env.catalog = catalog_;
   env.backend = backend_;
+  env.prepared = &prepared_;
+  env.estimates = &estimates_;
   env.shared_cache = &store_;
   env.stats = &stats_;
   env.stats_mu = &stats_mu_;
@@ -185,21 +188,20 @@ void QueryDaemon::RegisterStanding(const ServiceRequest& request,
     response->error = "a standing query needs an \"id\" to register under";
     return;
   }
-  // Mirror the session's pipeline exactly (parse → cover → compile) so
-  // the maintained plans are the ones the session just ran; the shared
+  // The session just ran this text, so it parses and the catalog covers
+  // it; the standing query maintains the parsed query itself. The shared
   // cache is hot with this session's calls, so the build mostly replays
   // them without touching the backend.
   std::string error;
   std::optional<UnionQuery> query = ParseUnionQuery(request.query, &error);
-  if (!query || !catalog_->CoversQuery(*query, &error)) {
+  if (!query) {
     response->status = ServiceResponse::Status::kError;
     response->error = "standing registration failed: " + error;
     return;
   }
-  CompileResult compiled = Compile(*query, *catalog_, {});
   SourceStack stack(backend_, MaintenanceRuntime());
-  std::unique_ptr<StandingQuery> standing = StandingQuery::Build(
-      compiled.analyzed_query, *catalog_, stack.source(), &error);
+  std::unique_ptr<StandingQuery> standing =
+      StandingQuery::Build(*query, *catalog_, stack.source(), &error);
   if (standing == nullptr) {
     response->status = ServiceResponse::Status::kError;
     response->error = "standing registration failed: " + error;
@@ -207,8 +209,7 @@ void QueryDaemon::RegisterStanding(const ServiceRequest& request,
   }
   const std::string key = request.tenant + "/" + request.id;
   std::lock_guard<std::mutex> lock(standing_mu_);
-  standing_[key] =
-      StandingEntry{compiled.analyzed_query, std::move(standing), ""};
+  standing_[key] = StandingEntry{std::move(*query), std::move(standing), ""};
 }
 
 ServiceResponse QueryDaemon::RunDeltaOp(const ServiceRequest& request) {
@@ -398,6 +399,7 @@ std::string QueryDaemon::StatusJson() const {
       << ", \"operator\": {\"disjuncts\": " << op.disjuncts_executed
       << ", \"morsels\": " << op.morsels
       << ", \"antijoin_build\": " << op.antijoin_build_tuples << "}"
+      << ", \"prepared\": " << prepared_.ToJson()
       << ", \"standing\": " << standing_count()
       << ", \"queries_served\": " << queries_served() << "}";
   return out.str();

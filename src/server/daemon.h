@@ -9,6 +9,7 @@
 #include <string>
 
 #include "ast/query.h"
+#include "cost/estimates.h"
 #include "cost/stats_catalog.h"
 #include "eval/database.h"
 #include "eval/delta.h"
@@ -16,6 +17,7 @@
 #include "runtime/source_stack.h"
 #include "schema/catalog.h"
 #include "server/admission.h"
+#include "server/prepared_query.h"
 #include "server/protocol.h"
 #include "server/session.h"
 #include "server/snapshot.h"
@@ -93,7 +95,8 @@ class QueryDaemon {
   void Drain();
 
   // {"admission": {...}, "tenants": {...}, "cache": {...},
-  //  "stats_relations": N, "operator": {...}, "standing": N,
+  //  "stats_relations": N, "operator": {...},
+  //  "prepared": {"entries": N, "hits": N, "misses": N}, "standing": N,
   //  "queries_served": N}
   std::string StatusJson() const;
 
@@ -129,6 +132,9 @@ class QueryDaemon {
   Options options_;
   const Catalog* catalog_;
   Source* backend_;
+  // Derived from the immutable catalog once, at construction.
+  CardinalityEstimates estimates_;
+  PreparedQueryCache prepared_;
   SharedCacheStore store_;
   StatsCatalog stats_;
   mutable std::mutex stats_mu_;
@@ -144,7 +150,7 @@ class QueryDaemon {
   mutable std::shared_mutex backend_mu_;
 
   struct StandingEntry {
-    UnionQuery query;  // the compiled query, kept for rebuilds
+    UnionQuery query;  // the parsed query, kept for rebuilds
     std::unique_ptr<StandingQuery> standing;  // null = broken, see `error`
     std::string error;
   };

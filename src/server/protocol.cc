@@ -8,22 +8,27 @@ namespace ucqn {
 
 namespace {
 
-JsonValue TupleToJson(const Tuple& tuple) {
-  JsonValue row = JsonValue::Array();
-  for (const Term& term : tuple) {
-    // Answers are ground: constants and the distinguished null (Ex. 7's
-    // unknown values). null maps to JSON null so clients need no
-    // sentinel convention.
-    row.Append(term.IsNull() ? JsonValue::Null()
-                             : JsonValue::String(term.name()));
+// Appends `tuples` as an array of rows. Answers are ground: constants
+// and the distinguished null (Ex. 7's unknown values), which maps to JSON
+// null so clients need no sentinel convention.
+void AppendTupleSet(std::string* out, const std::set<Tuple>& tuples) {
+  out->push_back('[');
+  bool first_row = true;
+  for (const Tuple& tuple : tuples) {
+    if (!first_row) out->append(", ");
+    first_row = false;
+    out->push_back('[');
+    for (std::size_t i = 0; i < tuple.size(); ++i) {
+      if (i > 0) out->append(", ");
+      if (tuple[i].IsNull()) {
+        out->append("null");
+      } else {
+        AppendJsonQuoted(out, tuple[i].name());
+      }
+    }
+    out->push_back(']');
   }
-  return row;
-}
-
-JsonValue TupleSetToJson(const std::set<Tuple>& tuples) {
-  JsonValue rows = JsonValue::Array();
-  for (const Tuple& tuple : tuples) rows.Append(TupleToJson(tuple));
-  return rows;
+  out->push_back(']');
 }
 
 bool JsonToTupleSet(const JsonValue& rows, std::set<Tuple>* out,
@@ -163,35 +168,54 @@ const char* ServiceResponse::StatusWord(Status status) {
 }
 
 std::string ServiceResponse::ToJsonLine() const {
-  JsonValue out = JsonValue::Object();
-  if (!id.empty()) out.Set("id", JsonValue::String(id));
-  if (!tenant.empty()) out.Set("tenant", JsonValue::String(tenant));
-  out.Set("status", JsonValue::String(StatusWord(status)));
-  if (status != Status::kOk) {
-    out.Set("error", JsonValue::String(error));
-    return out.Dump();
+  // Written straight into one buffer. Member order and number format are
+  // part of the wire format; server_protocol_test pins the bytes.
+  std::string out = "{";
+  auto key = [&out](const char* name) {
+    if (out.size() > 1) out.append(", ");
+    out.push_back('"');
+    out.append(name);
+    out.append("\": ");
+  };
+  auto count = [&](const char* name, std::uint64_t value) {
+    key(name);
+    out.append(std::to_string(value));
+  };
+  if (!id.empty()) {
+    key("id");
+    AppendJsonQuoted(&out, id);
   }
-  if (!payload_json.empty()) {
+  if (!tenant.empty()) {
+    key("tenant");
+    AppendJsonQuoted(&out, tenant);
+  }
+  key("status");
+  AppendJsonQuoted(&out, StatusWord(status));
+  if (status != Status::kOk) {
+    key("error");
+    AppendJsonQuoted(&out, error);
+  } else if (!payload_json.empty()) {
     // Admin payloads (cache/stats exports) are already JSON; splice the
     // text in verbatim rather than re-modelling it.
-    std::string line = out.Dump();
-    line.pop_back();  // trailing '}'
-    return line + ", \"payload\": " + payload_json + "}";
+    key("payload");
+    out.append(payload_json);
+  } else {
+    count("under_count", under.size());
+    count("over_count", over.size());
+    key("complete");
+    out.append(complete ? "true" : "false");
+    if (include_answers) {
+      key("under");
+      AppendTupleSet(&out, under);
+      key("over");
+      AppendTupleSet(&out, over);
+    }
+    count("physical_calls", physical_calls);
+    count("cache_hits", cache_hits);
+    count("cache_misses", cache_misses);
   }
-  out.Set("under_count",
-          JsonValue::Number(static_cast<double>(under.size())));
-  out.Set("over_count", JsonValue::Number(static_cast<double>(over.size())));
-  out.Set("complete", JsonValue::Bool(complete));
-  if (include_answers) {
-    out.Set("under", TupleSetToJson(under));
-    out.Set("over", TupleSetToJson(over));
-  }
-  out.Set("physical_calls",
-          JsonValue::Number(static_cast<double>(physical_calls)));
-  out.Set("cache_hits", JsonValue::Number(static_cast<double>(cache_hits)));
-  out.Set("cache_misses",
-          JsonValue::Number(static_cast<double>(cache_misses)));
-  return out.Dump();
+  out.push_back('}');
+  return out;
 }
 
 std::optional<ServiceResponse> ParseServiceResponse(const std::string& line,

@@ -1,15 +1,11 @@
 #include "server/session.h"
 
 #include <algorithm>
-#include <optional>
-#include <string>
+#include <memory>
 #include <utility>
 
-#include "ast/parser.h"
 #include "cost/cost_model.h"
-#include "cost/estimates.h"
 #include "eval/answer_star.h"
-#include "feasibility/compile.h"
 
 namespace ucqn {
 
@@ -32,19 +28,16 @@ ServiceResponse RunQuerySession(const SessionEnv& env,
   response.tenant = request.tenant;
   response.include_answers = request.include_answers;
 
-  std::string error;
-  std::optional<UnionQuery> query = ParseUnionQuery(request.query, &error);
-  if (!query) {
+  // Parse, schema check and PLAN* ran once for this text (or run now, on
+  // its first request); the entry is immutable and outlives a concurrent
+  // clear of the cache.
+  const std::shared_ptr<const PreparedQuery> prepared =
+      env.prepared->Get(request.query);
+  if (!prepared->error.empty()) {
     response.status = ServiceResponse::Status::kError;
-    response.error = "query error: " + error;
+    response.error = prepared->error;
     return response;
   }
-  if (!env.catalog->CoversQuery(*query, &error)) {
-    response.status = ServiceResponse::Status::kError;
-    response.error = "schema mismatch: " + error;
-    return response;
-  }
-  CompileResult compiled = Compile(*query, *env.catalog, {});
 
   // The per-session stack: a fresh view (budgets, meter, hit/miss ledger)
   // over the shared store. Metering is forced on so physical calls are
@@ -70,11 +63,12 @@ ServiceResponse RunQuerySession(const SessionEnv& env,
   AdaptiveCostOptions adaptive_options;
   adaptive_options.shared_cache = env.shared_cache;
   adaptive_options.use_observed_fanouts = env.fanout_feedback;
-  // Catalog `@N` annotations seed the estimates; with fanout feedback on,
+  // Catalog `@N` annotations seed the estimates (the daemon derives them
+  // once; the catalog never changes under it); with fanout feedback on,
   // relations nobody annotated get the cardinality their observed full
   // scans measured instead of the 1000-tuple fallback — the planner
   // learns real selectivities from the workload (docs/WORKLOADS.md).
-  CardinalityEstimates estimates = CardinalityEstimates::FromCatalog(*env.catalog);
+  CardinalityEstimates estimates = *env.estimates;
   if (env.adaptive_cost_model && env.fanout_feedback) {
     estimates.ApplyObservedFanouts(stats_snapshot);
   }
@@ -88,8 +82,8 @@ ServiceResponse RunQuerySession(const SessionEnv& env,
 
   SourceStack stack(env.backend, runtime);
   exec.runtime.clock = stack.clock();
-  AnswerStarReport report =
-      AnswerStar(compiled.analyzed_query, *env.catalog, stack.source(), exec);
+  AnswerStarReport report = AnswerStar(prepared->under, prepared->over,
+                                       *env.catalog, stack.source(), exec);
 
   const RuntimeStats stats = stack.stats();
   response.physical_calls =

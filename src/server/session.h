@@ -3,10 +3,12 @@
 
 #include <mutex>
 
+#include "cost/estimates.h"
 #include "cost/stats_catalog.h"
 #include "runtime/shared_cache.h"
 #include "runtime/source_stack.h"
 #include "schema/catalog.h"
+#include "server/prepared_query.h"
 #include "server/protocol.h"
 #include "server/tenant.h"
 
@@ -18,6 +20,13 @@ namespace ucqn {
 struct SessionEnv {
   const Catalog* catalog = nullptr;
   Source* backend = nullptr;
+  // Parse, schema check and PLAN* per distinct query text, done once.
+  // Required.
+  PreparedQueryCache* prepared = nullptr;
+  // CardinalityEstimates::FromCatalog(*catalog), built once — the catalog
+  // is immutable for the daemon's lifetime. Each session copies it before
+  // folding in observed fanouts. Required.
+  const CardinalityEstimates* estimates = nullptr;
   // Process-wide cache store; may be null (each session then runs cold).
   SharedCacheStore* shared_cache = nullptr;
   // Observed-stats catalog feeding the adaptive cost model, and its lock:
@@ -53,9 +62,12 @@ struct SessionEnv {
   bool fanout_feedback = true;
 };
 
-// Runs one already-admitted query request end to end: parse, schema
-// check, compile, ANSWER* against a fresh SourceStack view over the
-// shared store, then feed the observed metrics back into env.stats.
+// Runs one already-admitted query request end to end: look up the
+// prepared entry for its text (parse, schema check and PLAN* run only on
+// the text's first request), then per request a fresh SourceStack view
+// over the shared store, a stats snapshot for the adaptive model, ANSWER*
+// over the prepared plans, and the observed metrics fed back into
+// env.stats.
 // Never throws; all failure modes land in the response's status/error.
 ServiceResponse RunQuerySession(const SessionEnv& env,
                                 const ServiceRequest& request,

@@ -31,28 +31,33 @@ bool JsonValue::GetBool(const std::string& key, bool fallback) const {
   return v != nullptr && v->is_bool() ? v->AsBool() : fallback;
 }
 
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
+void AppendJsonQuoted(std::string* out, const std::string& s) {
+  out->push_back('"');
   for (unsigned char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
       default:
         if (c < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out->append(buf);
         } else {
-          out += static_cast<char>(c);
+          out->push_back(static_cast<char>(c));
         }
     }
   }
-  out += "\"";
+  out->push_back('"');
+}
+
+std::string JsonQuote(const std::string& s) {
+  std::string out;
+  AppendJsonQuoted(&out, s);
   return out;
 }
 

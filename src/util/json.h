@@ -113,6 +113,9 @@ std::optional<JsonValue> ParseJson(const std::string& text,
 // Quotes and escapes `s` as a JSON string literal (including the
 // surrounding double quotes). Control characters become \u00XX.
 std::string JsonQuote(const std::string& s);
+// The same, appended to `*out` — for emitters that write a whole line
+// into one buffer.
+void AppendJsonQuoted(std::string* out, const std::string& s);
 
 }  // namespace ucqn
 

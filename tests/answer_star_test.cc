@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "ast/parser.h"
+#include "cost/cost_model.h"
 #include "eval/oracle.h"
+#include "eval/planner.h"
+#include "feasibility/plan_star.h"
 #include "gen/scenarios.h"
 
 namespace ucqn {
@@ -134,6 +140,133 @@ TEST(AnswerStarTest, EmptyDatabaseIsCompleteAndEmpty) {
   AnswerStarReport report = AnswerStar(s.query, s.catalog, &source);
   EXPECT_TRUE(report.complete);
   EXPECT_TRUE(report.under.empty());
+}
+
+// Delegates to the static model and counts the literal-ranking calls.
+class CountingCostModel : public CostModel {
+ public:
+  std::string name() const override { return "counting"; }
+  double PatternCost(const Literal& literal, const AccessPattern& pattern,
+                     const BoundVariables& bound,
+                     const PlanContext& context) const override {
+    return inner_.PatternCost(literal, pattern, bound, context);
+  }
+  LiteralScore ScoreLiteral(const Catalog& catalog, const Literal& literal,
+                            const BoundVariables& bound,
+                            const PlanContext& context) const override {
+    ++score_calls;
+    return inner_.ScoreLiteral(catalog, literal, bound, context);
+  }
+  double ExpectedFanout(const Literal& literal,
+                        const BoundVariables& bound) const override {
+    return inner_.ExpectedFanout(literal, bound);
+  }
+
+  mutable std::size_t score_calls = 0;
+
+ private:
+  StaticCostModel inner_;
+};
+
+// Each plan ordered on its own, the way ANSWER* ordered them before a Qᵒ
+// disjunct could reuse its Qᵘ twin's order.
+UnionQuery OrderedOnItsOwn(const UnionQuery& plan, const Catalog& catalog,
+                           const CostModel& model) {
+  UnionQuery out;
+  for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
+    std::optional<ConjunctiveQuery> ordered =
+        OptimizeLiteralOrder(disjunct, catalog, model);
+    out.AddDisjunct(ordered.has_value() ? *ordered : disjunct);
+  }
+  return out;
+}
+
+void ExpectSameRuntimeCounters(const RuntimeStats& a, const RuntimeStats& b) {
+  EXPECT_EQ(a.source_calls, b.source_calls);
+  EXPECT_EQ(a.tuples_fetched, b.tuples_fetched);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.disjuncts_executed, b.disjuncts_executed);
+  EXPECT_EQ(a.morsels, b.morsels);
+  EXPECT_EQ(a.antijoin_build_tuples, b.antijoin_build_tuples);
+}
+
+TEST(AnswerStarTest, OverestimateReusesTheUnderestimateOrdering) {
+  Catalog catalog =
+      Catalog::MustParse("L/1: o\nB/2: io oo\nC/2: oo\nN/1: i\n");
+  Database db = Database::MustParseFacts(R"(
+    L("a"). L("b").
+    B("a", "x"). B("b", "y"). B("c", "z").
+    C("x", "1"). C("y", "2").
+    N("y").
+  )");
+  // Both disjuncts are orderable, so the query is feasible: Qᵘ = Qᵒ.
+  UnionQuery q = MustParseUnionQuery(R"(
+    Q(x, y) :- C(y, w), B(x, y), L(x).
+    Q(x, y) :- B(x, y), not N(y), L(x).
+  )");
+  const PlanStarResult plans = PlanStar(q, catalog);
+  ASSERT_TRUE(plans.PlansEqual());
+
+  CountingCostModel model;
+  ExecutionOptions options;
+  options.cost_model = &model;
+  options.runtime.cache = true;
+  DatabaseSource source(&db, &catalog);
+  AnswerStarReport shared = AnswerStar(q, catalog, &source, options);
+  ASSERT_TRUE(shared.ok) << shared.error;
+  const std::size_t shared_calls = model.score_calls;
+
+  // The reference: both plans priced independently, then run unordered.
+  model.score_calls = 0;
+  const UnionQuery under = OrderedOnItsOwn(plans.under, catalog, model);
+  const UnionQuery over = OrderedOnItsOwn(plans.over, catalog, model);
+  const std::size_t independent_calls = model.score_calls;
+  ExecutionOptions unordered = options;
+  unordered.cost_model = nullptr;
+  DatabaseSource reference_source(&db, &catalog);
+  AnswerStarReport reference =
+      AnswerStar(under, over, catalog, &reference_source, unordered);
+  ASSERT_TRUE(reference.ok) << reference.error;
+
+  ASSERT_GT(shared_calls, 0u);
+  EXPECT_EQ(2 * shared_calls, independent_calls);
+  EXPECT_EQ(shared.under, reference.under);
+  EXPECT_EQ(shared.over, reference.over);
+  EXPECT_EQ(shared.delta, reference.delta);
+  EXPECT_FALSE(shared.under.empty());
+  ExpectSameRuntimeCounters(shared.runtime, reference.runtime);
+  EXPECT_EQ(source.stats().calls, reference_source.stats().calls);
+}
+
+TEST(AnswerStarTest, PreparedPlansOverloadMatchesTheQueryOverload) {
+  // Every paper scenario, feasible or not: in the infeasible ones Qᵒ
+  // keeps null-padded disjuncts Qᵘ dismissed, which are priced on their
+  // own while the shared ones reuse the Qᵘ order.
+  for (const Scenario& s : AllScenarios()) {
+    CountingCostModel model;
+    ExecutionOptions options;
+    options.cost_model = &model;
+    DatabaseSource from_query_source(&s.database, &s.catalog);
+    AnswerStarReport from_query =
+        AnswerStar(s.query, s.catalog, &from_query_source, options);
+    const PlanStarResult plans = PlanStar(s.query, s.catalog);
+    DatabaseSource from_plans_source(&s.database, &s.catalog);
+    AnswerStarReport from_plans = AnswerStar(
+        plans.under, plans.over, s.catalog, &from_plans_source, options);
+    EXPECT_EQ(from_query.ok, from_plans.ok) << s.name;
+    EXPECT_EQ(from_query.under, from_plans.under) << s.name;
+    EXPECT_EQ(from_query.over, from_plans.over) << s.name;
+    EXPECT_EQ(from_query.complete, from_plans.complete) << s.name;
+    // Only the query overload carries the plans for diagnostics.
+    EXPECT_EQ(from_query.plans.under, plans.under) << s.name;
+    EXPECT_EQ(from_query.plans.over, plans.over) << s.name;
+    EXPECT_TRUE(from_plans.plans.under.IsFalseQuery()) << s.name;
+    EXPECT_EQ(from_query_source.stats().calls, from_plans_source.stats().calls)
+        << s.name;
+  }
 }
 
 }  // namespace

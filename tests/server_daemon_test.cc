@@ -1,7 +1,8 @@
 // QueryDaemon: the multi-tenant service core — sessions over the shared
 // runtime, tenant quotas, admission shed/drain behavior under
-// over-admission, snapshot spill/restore, and the warm-restart contract
-// (a previously seen query costs zero physical source calls).
+// over-admission, snapshot spill/restore, the warm-restart contract
+// (a previously seen query costs zero physical source calls), and the
+// prepared-query cache (parse, schema check and PLAN* once per text).
 
 #include "server/daemon.h"
 
@@ -9,13 +10,19 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "server/prepared_query.h"
 #include "server/snapshot.h"
+#include "util/json.h"
 
 namespace ucqn {
 namespace {
@@ -445,6 +452,228 @@ TEST_F(DaemonTest, DeltaOpValidation) {
   EXPECT_NE(arity.error.find("arity mismatch"), std::string::npos);
   // The database was never touched by the rejected batches.
   EXPECT_EQ(db.TotalTuples(), db_.TotalTuples());
+}
+
+// The `stats` op's "prepared" object: {"entries", "hits", "misses"}.
+struct PreparedCounts {
+  std::uint64_t entries = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+PreparedCounts PreparedStats(QueryDaemon& daemon) {
+  ServiceRequest stats;
+  stats.op = ServiceRequest::Op::kStats;
+  const ServiceResponse response = daemon.Submit(stats);
+  std::string error;
+  std::optional<JsonValue> json = ParseJson(response.payload_json, &error);
+  EXPECT_TRUE(json.has_value()) << error;
+  const JsonValue* prepared = json ? json->Find("prepared") : nullptr;
+  EXPECT_NE(prepared, nullptr) << response.payload_json;
+  if (prepared == nullptr) return {};
+  return PreparedCounts{
+      static_cast<std::uint64_t>(prepared->GetNumber("entries", -1)),
+      static_cast<std::uint64_t>(prepared->GetNumber("hits", -1)),
+      static_cast<std::uint64_t>(prepared->GetNumber("misses", -1))};
+}
+
+std::string QueryLine(const std::string& id, const std::string& query) {
+  return R"({"op": "query", "id": ")" + id + R"(", "query": )" +
+         JsonQuote(query) + "}";
+}
+
+TEST_F(DaemonTest, PreparedQueryRepeatGivesTheIdenticalLine) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon::Options options;
+  options.adaptive_cost_model = true;
+  QueryDaemon daemon(&catalog_, &backend, options);
+  const std::string line = QueryLine("q1", join_query_);
+
+  const std::string first = daemon.SubmitLine(line);
+  // Drop the cached calls and the observed stats, so the repeat runs
+  // exactly as cold as the first request did — only the prepared entry
+  // is warm.
+  daemon.SubmitLine(R"({"op": "invalidate"})");
+  const std::string second = daemon.SubmitLine(line);
+  EXPECT_NE(first.find("\"status\": \"ok\""), std::string::npos) << first;
+  EXPECT_EQ(first, second);
+
+  const PreparedCounts counts = PreparedStats(daemon);
+  EXPECT_EQ(counts.entries, 1u);
+  EXPECT_EQ(counts.misses, 1u);  // PLAN* ran once for the text
+  EXPECT_EQ(counts.hits, 1u);
+}
+
+TEST_F(DaemonTest, PreparedErrorsKeepTheirExactText) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  for (const std::string& text :
+       {std::string("Q(x) :- L(x"), std::string("Q(x) :- Missing(x).")}) {
+    const ServiceResponse first = daemon.Submit(QueryRequest("e", "t", text));
+    const ServiceResponse again = daemon.Submit(QueryRequest("e", "t", text));
+    ASSERT_EQ(first.status, ServiceResponse::Status::kError);
+    EXPECT_EQ(again.status, ServiceResponse::Status::kError);
+    EXPECT_EQ(again.error, first.error);
+    EXPECT_EQ(again.ToJsonLine(), first.ToJsonLine());
+  }
+  // The texts' own diagnoses, prefixed as before preparation was cached.
+  const ServiceResponse parse =
+      daemon.Submit(QueryRequest("e", "t", "Q(x) :- L(x"));
+  EXPECT_EQ(parse.error.rfind("query error: ", 0), 0u) << parse.error;
+  const ServiceResponse schema =
+      daemon.Submit(QueryRequest("e", "t", "Q(x) :- Missing(x)."));
+  EXPECT_EQ(schema.error.rfind("schema mismatch: ", 0), 0u) << schema.error;
+
+  const PreparedCounts counts = PreparedStats(daemon);
+  EXPECT_EQ(counts.misses, 2u);
+  EXPECT_EQ(counts.hits, 4u);
+}
+
+TEST_F(DaemonTest, PreparedCacheStaysBounded) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  const std::size_t texts = PreparedQueryCache::kMaxEntries + 50;
+  for (std::size_t i = 0; i < texts; ++i) {
+    // Distinct texts, one plan: only the variable name differs.
+    std::string v = "x";
+    v += std::to_string(i);
+    const ServiceResponse r = daemon.Submit(QueryRequest(
+        "b", "t", std::string("Q(") + v + ") :- L(" + v + ")."));
+    ASSERT_EQ(r.status, ServiceResponse::Status::kOk) << r.error;
+    ASSERT_EQ(r.under.size(), 2u);
+  }
+  const PreparedCounts counts = PreparedStats(daemon);
+  EXPECT_LE(counts.entries, PreparedQueryCache::kMaxEntries);
+  EXPECT_GT(counts.entries, 0u);
+  EXPECT_EQ(counts.misses, texts);
+  EXPECT_EQ(counts.hits, 0u);
+}
+
+TEST_F(DaemonTest, ConcurrentSubmittersOfOneTextShareItsPreparedEntry) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon::Options options;
+  options.adaptive_cost_model = true;
+  QueryDaemon daemon(&catalog_, &backend, options);
+  const ServiceResponse reference =
+      daemon.Submit(QueryRequest("r", "ref", join_query_));
+  ASSERT_EQ(reference.status, ServiceResponse::Status::kOk);
+
+  constexpr int kThreads = 4;
+  constexpr int kRequests = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRequests; ++i) {
+        const ServiceResponse r = daemon.Submit(
+            QueryRequest("c", "tenant" + std::to_string(t), join_query_));
+        if (r.status != ServiceResponse::Status::kOk ||
+            r.under != reference.under || r.over != reference.over ||
+            r.complete != reference.complete) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const PreparedCounts counts = PreparedStats(daemon);
+  EXPECT_EQ(counts.entries, 1u);
+  // The reference request prepared the text; every threaded one hit.
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, static_cast<std::uint64_t>(kThreads * kRequests));
+}
+
+TEST_F(DaemonTest, PreparedPlansAreDataIndependent) {
+  Database db = db_;
+  DatabaseSource backend(&db, &catalog_);
+  QueryDaemon::Options options;
+  options.database = &db;
+  QueryDaemon daemon(&catalog_, &backend, options);
+
+  const ServiceResponse before =
+      daemon.Submit(QueryRequest("q1", "alice", join_query_));
+  ASSERT_EQ(before.status, ServiceResponse::Status::kOk) << before.error;
+  EXPECT_EQ(before.under.size(), 2u);
+
+  ServiceRequest delta;
+  delta.op = ServiceRequest::Op::kDelta;
+  delta.relation = "B";
+  delta.insert_tuples = {{Term::Constant("a"), Term::Constant("x2")}};
+  ASSERT_EQ(daemon.Submit(delta).status, ServiceResponse::Status::kOk);
+
+  // Same text, same prepared plans, new data: the answer moves with it.
+  const ServiceResponse after =
+      daemon.Submit(QueryRequest("q1", "alice", join_query_));
+  ASSERT_EQ(after.status, ServiceResponse::Status::kOk) << after.error;
+  EXPECT_EQ(after.under.size(), 3u);
+  EXPECT_EQ(after.under.count({Term::Constant("a"), Term::Constant("x2")}),
+            1u);
+  const PreparedCounts counts = PreparedStats(daemon);
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 1u);
+}
+
+TEST_F(DaemonTest, StandingRegistrationMaintainsTheParsedQuery) {
+  // Registration builds the standing query straight from the parsed text
+  // (no Compile pass); its maintained answers must track what a fresh
+  // run of the same text returns.
+  Database db = db_;
+  DatabaseSource backend(&db, &catalog_);
+  QueryDaemon::Options options;
+  options.database = &db;
+  QueryDaemon daemon(&catalog_, &backend, options);
+
+  ServiceRequest standing = QueryRequest("s1", "alice", join_query_);
+  standing.standing = true;
+  ASSERT_EQ(daemon.Submit(standing).status, ServiceResponse::Status::kOk);
+  ASSERT_EQ(daemon.standing_count(), 1u);
+
+  ServiceRequest delta;
+  delta.op = ServiceRequest::Op::kDelta;
+  delta.relation = "L";
+  delta.insert_tuples = {{Term::Constant("c")}};
+  delta.delete_tuples = {{Term::Constant("a")}};
+  ASSERT_EQ(daemon.Submit(delta).status, ServiceResponse::Status::kOk);
+  delta.relation = "B";
+  delta.insert_tuples = {{Term::Constant("c"), Term::Constant("z")}};
+  delta.delete_tuples.clear();
+  ASSERT_EQ(daemon.Submit(delta).status, ServiceResponse::Status::kOk);
+
+  ServiceRequest answers;
+  answers.op = ServiceRequest::Op::kAnswers;
+  answers.tenant = "alice";
+  answers.id = "s1";
+  const ServiceResponse maintained = daemon.Submit(answers);
+  ASSERT_EQ(maintained.status, ServiceResponse::Status::kOk)
+      << maintained.error;
+  const ServiceResponse fresh =
+      daemon.Submit(QueryRequest("f", "bob", join_query_));
+  ASSERT_EQ(fresh.status, ServiceResponse::Status::kOk) << fresh.error;
+  EXPECT_EQ(maintained.under, fresh.under);
+  EXPECT_EQ(maintained.over, fresh.over);
+  EXPECT_EQ(fresh.under,
+            std::set<Tuple>({{Term::Constant("b"), Term::Constant("y")},
+                             {Term::Constant("c"), Term::Constant("z")}}));
+}
+
+TEST_F(DaemonTest, StatsOpReportsThePreparedCache) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  EXPECT_NE(daemon.StatusJson().find(
+                R"("prepared": {"entries": 0, "hits": 0, "misses": 0})"),
+            std::string::npos)
+      << daemon.StatusJson();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(daemon.Submit(QueryRequest("q", "alice", join_query_)).status,
+              ServiceResponse::Status::kOk);
+  }
+  ASSERT_EQ(daemon.Submit(QueryRequest("q", "alice", "Q(x) :- L(x).")).status,
+            ServiceResponse::Status::kOk);
+  const PreparedCounts counts = PreparedStats(daemon);
+  EXPECT_EQ(counts.entries, 2u);
+  EXPECT_EQ(counts.hits, 2u);
+  EXPECT_EQ(counts.misses, 2u);
 }
 
 }  // namespace

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/json.h"
 
 namespace ucqn {
@@ -181,6 +187,118 @@ TEST(ProtocolTest, AdminPayloadIsSplicedVerbatim) {
   std::optional<ServiceResponse> parsed = ParseServiceResponse(line, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->payload_json, R"({"queries_served": 4})");
+}
+
+// The JsonValue-tree rendering ToJsonLine used before it wrote its line
+// directly — the reference its bytes are pinned against.
+std::string TreeRenderedLine(const ServiceResponse& r) {
+  auto tuples = [](const std::set<Tuple>& set) {
+    JsonValue rows = JsonValue::Array();
+    for (const Tuple& tuple : set) {
+      JsonValue row = JsonValue::Array();
+      for (const Term& term : tuple) {
+        row.Append(term.IsNull() ? JsonValue::Null()
+                                 : JsonValue::String(term.name()));
+      }
+      rows.Append(std::move(row));
+    }
+    return rows;
+  };
+  auto number = [](std::uint64_t n) {
+    return JsonValue::Number(static_cast<double>(n));
+  };
+  JsonValue out = JsonValue::Object();
+  if (!r.id.empty()) out.Set("id", JsonValue::String(r.id));
+  if (!r.tenant.empty()) out.Set("tenant", JsonValue::String(r.tenant));
+  out.Set("status", JsonValue::String(ServiceResponse::StatusWord(r.status)));
+  if (r.status != ServiceResponse::Status::kOk) {
+    out.Set("error", JsonValue::String(r.error));
+    return out.Dump();
+  }
+  if (!r.payload_json.empty()) {
+    std::string line = out.Dump();
+    line.pop_back();
+    return line + ", \"payload\": " + r.payload_json + "}";
+  }
+  out.Set("under_count", number(r.under.size()));
+  out.Set("over_count", number(r.over.size()));
+  out.Set("complete", JsonValue::Bool(r.complete));
+  if (r.include_answers) {
+    out.Set("under", tuples(r.under));
+    out.Set("over", tuples(r.over));
+  }
+  out.Set("physical_calls", number(r.physical_calls));
+  out.Set("cache_hits", number(r.cache_hits));
+  out.Set("cache_misses", number(r.cache_misses));
+  return out.Dump();
+}
+
+TEST(ProtocolTest, DirectResponseWriterMatchesTheTreeRendering) {
+  ServiceResponse base;
+  base.status = ServiceResponse::Status::kOk;
+  base.id = "q\"1";
+  base.tenant = "ten\\ant";
+  base.physical_calls = 12345678901ull;
+  base.cache_hits = 7;
+  base.cache_misses = 0;
+
+  std::vector<ServiceResponse> cases;
+  // Quotes, backslashes and control bytes in constants.
+  ServiceResponse escaped = base;
+  escaped.under = {{Term::Constant("a\"b"), Term::Constant("c\\d")},
+                   {Term::Constant(std::string("\x01\n\t\x1f", 4)),
+                    Term::Constant("\xc3\xa9")}};
+  escaped.over = escaped.under;
+  escaped.complete = true;
+  cases.push_back(escaped);
+  // Δ-null cells.
+  ServiceResponse nulls = base;
+  nulls.under = {{Term::Constant("a"), Term::Constant("b")}};
+  nulls.over = {{Term::Constant("a"), Term::Constant("b")},
+                {Term::Constant("c"), Term::Null()},
+                {Term::Null(), Term::Null()}};
+  cases.push_back(nulls);
+  // Empty under/over sets, with and without ids.
+  cases.push_back(base);
+  ServiceResponse anonymous;
+  anonymous.status = ServiceResponse::Status::kOk;
+  cases.push_back(anonymous);
+  // include_answers: false.
+  ServiceResponse counts_only = nulls;
+  counts_only.include_answers = false;
+  cases.push_back(counts_only);
+  // Error responses (every non-ok status), with and without ids.
+  for (const auto status :
+       {ServiceResponse::Status::kError, ServiceResponse::Status::kShed,
+        ServiceResponse::Status::kDraining,
+        ServiceResponse::Status::kQuotaRefused}) {
+    ServiceResponse error = nulls;  // payload fields must not leak out
+    error.status = status;
+    error.error = "query error: \"x\" at\n1";
+    cases.push_back(error);
+    error.id.clear();
+    error.tenant.clear();
+    cases.push_back(error);
+  }
+  // payload_json responses.
+  ServiceResponse payload = nulls;
+  payload.payload_json = R"({"prepared": {"entries": 1}})";
+  cases.push_back(payload);
+  payload.id.clear();
+  payload.tenant.clear();
+  cases.push_back(payload);
+
+  for (const ServiceResponse& response : cases) {
+    EXPECT_EQ(response.ToJsonLine(), TreeRenderedLine(response));
+  }
+  // One line pinned literally, so the reference itself cannot drift.
+  EXPECT_EQ(cases[1].ToJsonLine(),
+            R"({"id": "q\"1", "tenant": "ten\\ant", "status": "ok", )"
+            R"("under_count": 1, "over_count": 3, "complete": false, )"
+            R"("under": [["a", "b"]], )"
+            R"("over": [["a", "b"], ["c", null], [null, null]], )"
+            R"("physical_calls": 12345678901, "cache_hits": 7, )"
+            R"("cache_misses": 0})");
 }
 
 TEST(ProtocolTest, RequestDeltaAndAnswersOps) {

@@ -11,6 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "ast/parser.h"
 #include "cost/cost_model.h"
@@ -19,6 +23,7 @@
 #include "runtime/caching_source.h"
 #include "runtime/clock.h"
 #include "runtime/source_stack.h"
+#include "util/json.h"
 
 namespace ucqn {
 namespace {
@@ -399,6 +404,108 @@ TEST_F(SharedCacheTest, MetricsExportsAreWellFormed) {
   EXPECT_NE(json.find("\"R\""), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+TEST_F(SharedCacheTest, RelationHitRateMatchesTheExportedLedger) {
+  // RelationHitRate answers from one store-wide per-relation ledger; it
+  // must agree with the per-relation sums ToJson() exports, and with the
+  // lookups actually made, through every path that drops entries — LRU
+  // evictions, both invalidations, TTL expiry — and a snapshot restore.
+  SimulatedClock clock;
+  SharedCacheStore::Options options;
+  options.shards = 4;
+  options.max_entries = 4;  // one entry per shard: evictions are routine
+  options.clock = &clock;
+  SharedCacheStore store(options);
+  store.SetRelationTtl("S", 100);
+
+  const AccessPattern keyed = AccessPattern::MustParse("io");
+  auto key = [&](const std::string& relation, const std::string& value) {
+    return PackedSourceCacheKey(relation, keyed,
+                                {Term::Constant(value), std::nullopt});
+  };
+  std::map<std::string, SharedCacheStore::RelationCounters> made;
+  auto lookup = [&](const std::string& relation, const std::string& value) {
+    const std::string k = key(relation, value);
+    SharedCacheStore::Lookup l = store.TryAcquire(k, relation);
+    if (l.state == SharedCacheStore::LookupState::kLeader) {
+      ++made[relation].misses;
+      store.Publish(k, relation, {{Term::Constant(value), Term::Constant("v")}});
+    } else {
+      ++made[relation].hits;
+    }
+  };
+  auto check = [&](const char* after) {
+    SCOPED_TRACE(after);
+    std::string error;
+    std::optional<JsonValue> json = ParseJson(store.ToJson(), &error);
+    ASSERT_TRUE(json.has_value()) << error;
+    const JsonValue* relations = json->Find("relations");
+    ASSERT_NE(relations, nullptr);
+    for (const auto& [relation, counters] : made) {
+      const JsonValue* exported = relations->Find(relation);
+      ASSERT_NE(exported, nullptr) << relation;
+      const double hits = exported->GetNumber("hits");
+      const double misses = exported->GetNumber("misses");
+      EXPECT_EQ(hits, static_cast<double>(counters.hits)) << relation;
+      EXPECT_EQ(misses, static_cast<double>(counters.misses)) << relation;
+      EXPECT_DOUBLE_EQ(store.RelationHitRate(relation),
+                       hits / (hits + misses))
+          << relation;
+    }
+    EXPECT_EQ(store.RelationHitRate("Unseen"), 0.0);
+  };
+
+  for (const char* v : {"a", "b", "a", "b", "a"}) lookup("R", v);
+  check("hits and misses");
+
+  for (const char* v : {"c", "d", "e", "f", "g", "h", "a", "b"}) {
+    lookup("R", v);
+  }
+  ASSERT_GT(store.stats().evictions, 0u);
+  check("evictions");
+
+  store.InvalidateRelation("R");
+  lookup("R", "a");
+  lookup("R", "a");
+  check("InvalidateRelation");
+
+  ASSERT_EQ(store.InvalidateDelta(
+                "R", {{Term::Constant("a"), Term::Constant("new")}}),
+            1u);
+  lookup("R", "a");
+  check("InvalidateDelta");
+
+  lookup("S", "s");
+  lookup("S", "s");
+  clock.Advance(100);
+  lookup("S", "s");  // stale: dropped, then a miss
+  ASSERT_GT(store.stats().stale_drops, 0u);
+  check("TTL drops");
+
+  // A coalesced follower counts as a hit.
+  const std::string flight = key("R", "flight");
+  ASSERT_EQ(store.TryAcquire(flight, "R").state,
+            SharedCacheStore::LookupState::kLeader);
+  ++made["R"].misses;
+  ASSERT_EQ(store.TryAcquire(flight, "R").state,
+            SharedCacheStore::LookupState::kFollower);
+  ++made["R"].hits;
+  store.Abandon(flight);
+  check("single-flight");
+
+  const std::vector<SharedCacheStore::ExportedEntry> snapshot =
+      store.ExportEntries();
+  ASSERT_FALSE(snapshot.empty());
+  store.InvalidateAll();
+  for (const SharedCacheStore::ExportedEntry& entry : snapshot) {
+    store.RestoreEntry(entry);
+  }
+  check("snapshot restore");
+  for (const SharedCacheStore::ExportedEntry& entry : snapshot) {
+    lookup(entry.relation, entry.inputs[0]->name());
+  }
+  check("lookups after restore");
 }
 
 TEST_F(SharedCacheTest, AdaptiveModelPricesCachedHotRelationsNearZero) {
