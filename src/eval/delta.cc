@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "cost/cost_model.h"
+#include "eval/binding_step.h"
 #include "feasibility/plan_star.h"
 #include "schema/adornment.h"
 
@@ -69,80 +70,6 @@ std::optional<AppliedDelta> ApplyDelta(Database* db,
   return applied;
 }
 
-namespace {
-
-// These two mirror the executor's reference per-binding loop
-// (eval/executor.cc) exactly: maintenance fetches must produce the same
-// extensions a from-scratch run would, or maintained frontiers drift from
-// the oracle.
-
-std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
-                                             const AccessPattern& pattern,
-                                             const Substitution& binding) {
-  std::vector<std::optional<Term>> inputs;
-  inputs.reserve(literal.args().size());
-  for (std::size_t j = 0; j < literal.args().size(); ++j) {
-    Term value = binding.Apply(literal.args()[j]);
-    if (pattern.IsInputSlot(j) && value.IsGround()) {
-      inputs.emplace_back(std::move(value));
-    } else {
-      inputs.emplace_back(std::nullopt);
-    }
-  }
-  return inputs;
-}
-
-std::optional<Substitution> UnifyWithTuple(const Literal& literal,
-                                           const Tuple& tuple,
-                                           const Substitution& binding) {
-  Substitution extended = binding;
-  const std::vector<Term>& args = literal.args();
-  if (args.size() != tuple.size()) return std::nullopt;
-  for (std::size_t j = 0; j < args.size(); ++j) {
-    Term value = extended.Apply(args[j]);
-    if (value.IsGround()) {
-      if (value != tuple[j]) return std::nullopt;
-    } else {
-      if (!extended.Bind(value, tuple[j])) return std::nullopt;
-    }
-  }
-  return extended;
-}
-
-// Extends one frontier row through one stage with an ordinary fetch,
-// appending the surviving extensions to `out`.
-bool ExtendRow(const MaintainedStage& stage, const Substitution& row,
-               Source* source, std::vector<Substitution>* out,
-               std::string* error) {
-  FetchResult fetched =
-      source->Fetch(stage.literal.relation(), stage.pattern,
-                    FetchInputs(stage.literal, stage.pattern, row));
-  if (!fetched.ok()) {
-    *error = "source call for literal " + stage.literal.ToString() +
-             " failed: " + fetched.error;
-    return false;
-  }
-  if (stage.literal.positive()) {
-    for (const Tuple& tuple : fetched.tuples) {
-      std::optional<Substitution> extended =
-          UnifyWithTuple(stage.literal, tuple, row);
-      if (extended.has_value()) out->push_back(std::move(*extended));
-    }
-    return true;
-  }
-  // Negative literal: all variables are bound (ChoosePattern guarantees
-  // it), so the instantiated atom either appears among the fetched tuples
-  // (row blocked) or not (row passes unchanged).
-  const Tuple instantiated = row.Apply(stage.literal.args());
-  for (const Tuple& tuple : fetched.tuples) {
-    if (tuple == instantiated) return true;
-  }
-  out->push_back(row);
-  return true;
-}
-
-}  // namespace
-
 std::optional<MaintainedChain> BuildMaintainedChain(
     const ConjunctiveQuery& plan, const Catalog& catalog, Source* source,
     std::string* error) {
@@ -166,7 +93,7 @@ std::optional<MaintainedChain> BuildMaintainedChain(
     chain.stages.push_back({literal, *pattern});
     std::vector<Substitution> next;
     for (const Substitution& row : chain.frontiers.back()) {
-      if (!ExtendRow(chain.stages.back(), row, source, &next, error)) {
+      if (!ExtendBinding(literal, *pattern, row, source, &next, error)) {
         return std::nullopt;
       }
     }
@@ -206,7 +133,9 @@ bool PropagateForward(MaintainedChain* chain, std::size_t from,
     if (rows.empty() || s == chain->stages.size()) return true;
     std::vector<Substitution> next;
     for (const Substitution& row : rows) {
-      if (!ExtendRow(chain->stages[s], row, source, &next, error)) {
+      if (!ExtendBinding(chain->stages[s].literal,
+                         chain->stages[s].pattern, row, source, &next,
+                         error)) {
         return false;
       }
     }

@@ -36,37 +36,22 @@ struct ExecutionOptions {
   // next query with an AdaptiveCostModel over the same catalog.
   StatsCatalog* stats_sink = nullptr;
   // Hard cap on the number of live variable bindings after any literal
-  // (the intermediate-result size of the left-to-right join). Exceeding
-  // it fails the execution rather than exhausting memory on a hostile
-  // plan/source combination. 0 = unlimited.
+  // (the intermediate-result size of the left-to-right join; the DAG
+  // bounds each operator's cumulative output rows). Exceeding it fails
+  // the execution with an "at literal ..." error rather than exhausting
+  // memory on a hostile plan/source combination. 0 = unlimited.
   std::size_t max_bindings = 0;
-  // Collect each literal's source calls across all live bindings into one
-  // batched wave (deduplicated, then issued via Source::FetchBatch so a
-  // parallel dispatcher can overlap them). Answers are identical to the
-  // per-binding reference loop — waves only change transport scheduling —
-  // so this is on by default; turn it off to run the reference semantics.
+  // Run the batch executor: the push-based operator DAG (eval/op/,
+  // eval/dag_executor.h). Each disjunct lowers to a chain of fetch
+  // operators over dictionary-encoded ColumnarFrontier morsels; each
+  // literal's calls across a morsel's rows fly as one deduplicated
+  // FetchBatch wave (so a parallel dispatcher can overlap them), and
+  // `morsel_rows`, `disjunct_concurrency` and runtime.pipeline_depth
+  // schedule the waves. Answers and witness order equal the per-binding
+  // reference loop's — waves only change transport scheduling — so this
+  // is on by default; turn it off to run the reference loop, the oracle
+  // the DAG is pinned against.
   bool batch = true;
-  // Run the batch path dictionary-encoded (default): constants intern
-  // into the process-wide TermDictionary, the binding frontier is stored
-  // columnar (eval/frontier.h), wave dedup hashes flat id signatures,
-  // and negated literals probe an id-keyed hash set — strings are
-  // decoded only at result materialization. Answers, witness order, and
-  // runtime ledgers are byte-identical to the string path (the
-  // regression corpus pins this); turn it off to run the string-path
-  // oracle. Ignored when `batch` is off (the reference loop is always
-  // string-based).
-  bool dictionary = true;
-  // Run the encoded batch path through the push-based operator DAG
-  // (eval/op/, eval/dag_executor.h) — the default executor. Each
-  // disjunct lowers to a chain of fetch operators over ColumnarFrontier
-  // morsels, which is what `morsel_rows` and `disjunct_concurrency`
-  // below schedule. Answers, witness order, and runtime ledgers are
-  // byte-identical to the pre-DAG encoded loop at the defaults (the
-  // regression corpus pins this); turn it off (--legacy-executor) to run
-  // that loop as the oracle. Ignored when `batch` or `dictionary` is
-  // off, or when runtime.pipeline_depth > 1 (inter-literal pipelining
-  // has its own loop).
-  bool dag = true;
   // Rows per morsel pushed through the DAG. 0 (default) keeps each
   // whole frontier as one morsel — the byte-compatible schedule. When
   // set, wide frontiers split into chunks of at most this many rows
@@ -75,11 +60,12 @@ struct ExecutionOptions {
   std::size_t morsel_rows = 0;
   // How many disjunct chains of a union may stage waves in the same
   // round. 1 (default) drives disjuncts to completion in order — the
-  // sequential union, byte-identical ledgers. Values >= 2 let disjuncts
-  // race: each round issues one wave per runnable chain and resolves
-  // them inside one clock overlap bracket, so a SimulatedClock charges
-  // the round max-over-lanes. Answers are identical at every setting —
-  // concurrency only changes transport scheduling.
+  // sequential union. Values >= 2 let disjuncts race: each round stages
+  // waves from up to this many runnable chains (each up to
+  // runtime.pipeline_depth stages deep) and resolves them inside one
+  // clock overlap bracket, so a SimulatedClock charges the round
+  // max-over-lanes. Answers are identical at every setting — concurrency
+  // only changes transport scheduling. Ignored when `batch` is off.
   std::size_t disjunct_concurrency = 1;
   // Source-access runtime configuration (src/runtime/): call caching,
   // retry/backoff, call/deadline budgets, metrics. Disabled by default —

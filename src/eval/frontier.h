@@ -20,9 +20,9 @@ namespace ucqn {
 // selection vector instead of rebuilding the vector.
 //
 // Row order is the paper's witness order (left-to-right derivation):
-// every operation here preserves it, which is what lets the encoded
-// executor decode back to exactly the Substitution sequence the string
-// path produces.
+// every operation here preserves it, which is what lets the operator
+// DAG decode back to exactly the Substitution sequence the per-binding
+// reference loop produces.
 class ColumnarFrontier {
  public:
   static constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
@@ -61,7 +61,7 @@ class ColumnarFrontier {
   // negated literal.
   void Retain(const std::vector<std::size_t>& selection);
 
-  // Decodes row `row` back into the Substitution the string-path
+  // Decodes row `row` back into the Substitution the reference-loop
   // executor would have built — the result-materialization boundary.
   Substitution DecodeRow(std::size_t row, const TermDictionary& dict) const;
 

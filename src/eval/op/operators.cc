@@ -8,7 +8,7 @@ namespace ucqn {
 
 // The pattern decision and slot classification happen on first contact
 // with the frontier — not at lowering time — so that (a) a literal no
-// morsel ever reaches never errors, exactly like the legacy loop's
+// morsel ever reaches never errors, exactly like the reference loop's
 // early-out on an empty frontier, and (b) an adaptive cost model prices
 // the decision with the *actual* live-binding count, not the planner's
 // estimate. The frontier's column set is fixed per chain stage, so one
@@ -29,7 +29,7 @@ bool FetchOperator::Prepare(const ColumnarFrontier& frontier) {
   }
 
   // Classify each slot once; the per-row loops below are then pure
-  // integer work (the encoded executor's plan, verbatim).
+  // integer work.
   const std::vector<Term>& args = literal_->args();
   const std::size_t arity = args.size();
   plan_.assign(arity, SlotPlan{});
@@ -69,8 +69,8 @@ bool FetchOperator::Stage(ColumnarFrontier&& morsel, PendingWave* wave) {
   // Build the wave: one flat id signature per row (input slots whose
   // value is known before the call), deduplicated by integer hashing.
   // Only the distinct signatures decode to Term vectors for the Source
-  // API, so the requests on the wire equal the legacy loop's, in the
-  // same first-occurrence order.
+  // API, in first-occurrence order — the order every runtime ledger is
+  // keyed on.
   std::unordered_map<EncodedTuple, std::size_t, EncodedTupleHash> index;
   wave->requests.clear();
   wave->slot_of.assign(morsel.rows(), 0);
@@ -121,7 +121,7 @@ bool FetchOperator::Absorb(PendingWave&& wave,
 
   // Encode each distinct result set once. A tuple whose arity differs
   // from the literal's can never unify, and a tuple carrying a variable
-  // is not a fact — both are dropped here exactly as string-path
+  // is not a fact — both are dropped here exactly as the reference loop's
   // unification would reject them.
   std::vector<std::vector<EncodedTuple>> encoded(fetched.size());
   for (std::size_t f = 0; f < fetched.size(); ++f) {

@@ -31,12 +31,11 @@ struct PendingWave {
 
 // A source-literal operator of the DAG (AccessScan / HashJoin / Filter /
 // HashAntiJoin — the kind is a lowering-time classification; all four
-// share the fetch-and-merge core, which is exactly what keeps the DAG
-// byte-identical to the encoded loop it replaces). Push-based with an
-// explicit seam: Stage(morsel) chooses the access pattern (first morsel
-// only; live_bindings = that morsel's rows, the same actual count the
-// legacy loop passed) and builds the deduplicated wave; the driver
-// fetches; Absorb(wave, results) merges into the output morsel.
+// share one fetch-and-merge core). Push-based with an explicit seam:
+// Stage(morsel) chooses the access pattern (first morsel only;
+// live_bindings = that morsel's rows) and builds the deduplicated wave;
+// the driver fetches; Absorb(wave, results) merges into the output
+// morsel.
 //
 // Not thread-safe; one instance belongs to one execution's chain.
 class FetchOperator {
@@ -56,8 +55,7 @@ class FetchOperator {
   // Set by the first successful Stage.
   const std::optional<AccessPattern>& pattern() const { return pattern_; }
   // Cumulative output rows across all absorbed morsels — the DAG's
-  // reading of the legacy per-literal frontier size, which max_bindings
-  // bounds.
+  // reading of the per-literal frontier size, which max_bindings bounds.
   std::size_t rows_out() const { return rows_out_; }
   const std::string& error() const { return error_; }
 
@@ -72,8 +70,7 @@ class FetchOperator {
               ColumnarFrontier* out);
 
  private:
-  // The encoded executor's slot classification, verbatim: how each
-  // argument position of the literal maps onto the frontier.
+  // How each argument position of the literal maps onto the frontier.
   enum class Slot { kConst, kColumn, kBindFirst, kBindRepeat };
   struct SlotPlan {
     Slot kind = Slot::kConst;

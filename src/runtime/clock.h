@@ -37,7 +37,8 @@ class Clock {
   virtual void EndWave() {}
 
   // Brackets a group of *different literals'* waves resolved back-to-back
-  // by the pipelined executor (eval/executor.cc, pipeline_depth > 1).
+  // by the operator-DAG executor (eval/dag_executor.h: pipelined stages
+  // or concurrent disjuncts).
   // Each wave's resolution runs inside its own BeginLane/EndLane pair;
   // EndOverlap charges the group max-over-lanes, the wall-clock model of
   // futures genuinely in flight together. Inside a lane, sleeps (and any

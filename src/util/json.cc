@@ -222,65 +222,83 @@ class Parser {
     return true;
   }
 
-  bool ParseValue(JsonValue* out) {
+  // The members after an opening '{' (already consumed).
+  bool ParseObject(JsonValue* out) {
+    *out = JsonValue::Object();
     SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') {
+    if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      *out = JsonValue::Object();
+      return true;
+    }
+    while (true) {
       SkipSpace();
+      std::string key;
+      if (!ParseString(&key)) return false;
+      SkipSpace();
+      if (pos_ >= text_.size() || text_[pos_] != ':') {
+        return Fail("expected ':'");
+      }
+      ++pos_;
+      JsonValue value;
+      if (!ParseValue(&value)) return false;
+      out->Set(std::move(key), std::move(value));
+      SkipSpace();
+      if (pos_ < text_.size() && text_[pos_] == ',') {
+        ++pos_;
+        continue;
+      }
       if (pos_ < text_.size() && text_[pos_] == '}') {
         ++pos_;
         return true;
       }
-      while (true) {
-        SkipSpace();
-        std::string key;
-        if (!ParseString(&key)) return false;
-        SkipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != ':') {
-          return Fail("expected ':'");
-        }
-        ++pos_;
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->Set(std::move(key), std::move(value));
-        SkipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return Fail("expected ',' or '}'");
-      }
+      return Fail("expected ',' or '}'");
     }
-    if (c == '[') {
+  }
+
+  // The items after an opening '[' (already consumed).
+  bool ParseArray(JsonValue* out) {
+    *out = JsonValue::Array();
+    SkipSpace();
+    if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
-      *out = JsonValue::Array();
+      return true;
+    }
+    while (true) {
+      JsonValue value;
+      if (!ParseValue(&value)) return false;
+      out->Append(std::move(value));
       SkipSpace();
+      if (pos_ < text_.size() && text_[pos_] == ',') {
+        ++pos_;
+        continue;
+      }
       if (pos_ < text_.size() && text_[pos_] == ']') {
         ++pos_;
         return true;
       }
-      while (true) {
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->Append(std::move(value));
-        SkipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return Fail("expected ',' or ']'");
+      return Fail("expected ',' or ']'");
+    }
+  }
+
+  // Objects and arrays recurse, so a hostile line of a few hundred
+  // thousand '[' would otherwise exhaust the stack. No protocol line or
+  // snapshot file nests anywhere near this deep.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  bool ParseValue(JsonValue* out) {
+    SkipSpace();
+    if (pos_ >= text_.size()) return Fail("unexpected end of input");
+    const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return Fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                    " levels");
       }
+      ++pos_;
+      ++depth_;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return ok;
     }
     if (c == '"') {
       std::string s;
@@ -308,6 +326,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::string error_;
 };
 

@@ -1,12 +1,17 @@
 // Regression corpus for the push-based operator-DAG executor: across the
 // paper's worked examples (gen/scenarios.h, Examples 1-10) and the
-// parallelism grid, the DAG path (the default) must be byte-identical to
-// the pre-DAG encoded loop (--legacy-executor) — answer sets, ANSWER*
-// brackets and summaries, witness order, runtime ledgers, and error
-// messages. Morsel splitting must preserve answers and witness order.
+// parallelism grid, the DAG (the default) must equal the per-binding
+// reference loop (batch = false) on answer sets, ANSWER* brackets and
+// summaries, witness order, and error messages, and must reproduce the
+// call/cache/retry ledgers recorded from the retired pre-DAG encoded loop
+// as golden values. Morsel splitting must preserve answers and witness
+// order.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,15 +26,65 @@
 namespace ucqn {
 namespace {
 
-ExecutionOptions GridOptions(bool dag, std::size_t parallelism) {
+ExecutionOptions GridOptions(std::size_t parallelism) {
   ExecutionOptions options;
   options.batch = true;
-  options.dictionary = true;
-  options.dag = dag;
   options.runtime.metering = true;  // force a stack so ledgers are live
   options.runtime.parallelism = parallelism;
   return options;
 }
+
+ExecutionOptions ReferenceOptions() {
+  ExecutionOptions options;
+  options.batch = false;
+  return options;
+}
+
+struct Ledger {
+  std::uint64_t calls = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t retries = 0;
+
+  bool operator==(const Ledger&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Ledger& l) {
+  return os << "{calls=" << l.calls << " hits=" << l.hits
+            << " misses=" << l.misses << " retries=" << l.retries << "}";
+}
+
+Ledger LedgerOf(const RuntimeStats& stats) {
+  return {stats.source_calls, stats.cache_hits, stats.cache_misses,
+          stats.retries};
+}
+
+// The pre-DAG encoded loop's ANSWER* ledgers under GridOptions plus a
+// per-run cache, recorded before that loop was deleted (the string path
+// and the DAG agreed with it on every row).
+struct GoldenRow {
+  const char* scenario;
+  std::size_t parallelism;
+  Ledger ledger;
+};
+constexpr GoldenRow kGoldenLedgers[] = {
+    {"example1_books", 1, {3, 3, 3, 0}},
+    {"example1_books", 4, {3, 3, 3, 0}},
+    {"example3_feasible_not_orderable", 1, {2, 2, 2, 0}},
+    {"example3_feasible_not_orderable", 4, {2, 2, 2, 0}},
+    {"example4_under_over", 1, {3, 1, 3, 0}},
+    {"example4_under_over", 4, {3, 1, 3, 0}},
+    {"example6_foreign_key", 1, {3, 1, 3, 0}},
+    {"example6_foreign_key", 4, {3, 1, 3, 0}},
+    {"example7_nulls", 1, {3, 1, 3, 0}},
+    {"example7_nulls", 4, {3, 1, 3, 0}},
+    {"example8_domain_enum", 1, {3, 1, 3, 0}},
+    {"example8_domain_enum", 4, {3, 1, 3, 0}},
+    {"example9_cq", 1, {3, 1, 3, 0}},
+    {"example9_cq", 4, {3, 1, 3, 0}},
+    {"example10_ucq", 1, {3, 5, 3, 0}},
+    {"example10_ucq", 4, {3, 5, 3, 0}},
+};
 
 std::vector<std::string> BindingStrings(const BindingsResult& result) {
   std::vector<std::string> order;
@@ -40,42 +95,62 @@ std::vector<std::string> BindingStrings(const BindingsResult& result) {
   return order;
 }
 
-TEST(OperatorDagTest, AnswerStarBracketsMatchTheLegacyOracleAcrossTheGrid) {
+TEST(OperatorDagTest, AnswerStarBracketsMatchTheReferenceAcrossTheGrid) {
   for (const Scenario& scenario : AllScenarios()) {
+    DatabaseSource reference_backend(&scenario.database, &scenario.catalog);
+    AnswerStarReport reference =
+        AnswerStar(scenario.query, scenario.catalog, &reference_backend,
+                   ReferenceOptions());
+    ASSERT_TRUE(reference.ok) << reference.error;
     for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE(scenario.name +
                    " parallelism=" + std::to_string(parallelism));
-
-      DatabaseSource oracle_backend(&scenario.database, &scenario.catalog);
-      AnswerStarReport oracle =
-          AnswerStar(scenario.query, scenario.catalog, &oracle_backend,
-                     GridOptions(/*dag=*/false, parallelism));
-      ASSERT_TRUE(oracle.ok) << oracle.error;
-
       DatabaseSource dag_backend(&scenario.database, &scenario.catalog);
       AnswerStarReport dag =
           AnswerStar(scenario.query, scenario.catalog, &dag_backend,
-                     GridOptions(/*dag=*/true, parallelism));
+                     GridOptions(parallelism));
       ASSERT_TRUE(dag.ok) << dag.error;
 
       // The full bracket, byte for byte — including the null-padded
       // overestimate rows (Ex. 7) that exercise the Δ-null sentinel.
-      EXPECT_EQ(dag.under, oracle.under);
-      EXPECT_EQ(dag.over, oracle.over);
-      EXPECT_EQ(dag.delta, oracle.delta);
-      EXPECT_EQ(dag.complete, oracle.complete);
-      EXPECT_EQ(dag.delta_has_nulls, oracle.delta_has_nulls);
+      EXPECT_EQ(dag.under, reference.under);
+      EXPECT_EQ(dag.over, reference.over);
+      EXPECT_EQ(dag.delta, reference.delta);
+      EXPECT_EQ(dag.complete, reference.complete);
+      EXPECT_EQ(dag.delta_has_nulls, reference.delta_has_nulls);
       EXPECT_EQ(dag.completeness_lower_bound,
-                oracle.completeness_lower_bound);
-      EXPECT_EQ(dag.Summary(), oracle.Summary());
-      // Same physical calls: the DAG changes who drives the loop, not
-      // the call waves the dedup produces.
-      EXPECT_EQ(dag.runtime.source_calls, oracle.runtime.source_calls);
+                reference.completeness_lower_bound);
+      EXPECT_EQ(dag.Summary(), reference.Summary());
     }
   }
 }
 
-TEST(OperatorDagTest, WitnessOrderMatchesTheLegacyOracleAcrossTheGrid) {
+TEST(OperatorDagTest, LedgersMatchTheGoldenLegacyLoopAcrossTheGrid) {
+  // The DAG changes who drives the loop, not the call waves the dedup
+  // produces: physical calls and cache hits/misses equal the recorded
+  // ledgers of the loop it replaced.
+  const std::vector<Scenario> scenarios = AllScenarios();
+  ASSERT_EQ(std::size(kGoldenLedgers), scenarios.size() * 2)
+      << "every scenario x parallelism needs a golden row";
+  for (const GoldenRow& row : kGoldenLedgers) {
+    SCOPED_TRACE(std::string(row.scenario) +
+                 " parallelism=" + std::to_string(row.parallelism));
+    const Scenario* scenario = nullptr;
+    for (const Scenario& s : scenarios) {
+      if (s.name == row.scenario) scenario = &s;
+    }
+    ASSERT_NE(scenario, nullptr);
+    DatabaseSource backend(&scenario->database, &scenario->catalog);
+    ExecutionOptions options = GridOptions(row.parallelism);
+    options.runtime.cache = true;
+    AnswerStarReport report =
+        AnswerStar(scenario->query, scenario->catalog, &backend, options);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(LedgerOf(report.runtime), row.ledger);
+  }
+}
+
+TEST(OperatorDagTest, WitnessOrderMatchesTheReferenceAcrossTheGrid) {
   for (const Scenario& scenario : AllScenarios()) {
     const PlanStarResult plans = PlanStar(scenario.query, scenario.catalog);
     std::vector<ConjunctiveQuery> bodies;
@@ -84,28 +159,26 @@ TEST(OperatorDagTest, WitnessOrderMatchesTheLegacyOracleAcrossTheGrid) {
     bodies.insert(bodies.end(), plans.over.disjuncts().begin(),
                   plans.over.disjuncts().end());
     for (std::size_t i = 0; i < bodies.size(); ++i) {
+      DatabaseSource reference_backend(&scenario.database, &scenario.catalog);
+      BindingsResult reference = ExecuteForBindings(
+          bodies[i], scenario.catalog, &reference_backend, ReferenceOptions());
       for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE(scenario.name + " disjunct=" + std::to_string(i) +
                      " parallelism=" + std::to_string(parallelism));
-
-        DatabaseSource oracle_backend(&scenario.database, &scenario.catalog);
-        BindingsResult oracle =
-            ExecuteForBindings(bodies[i], scenario.catalog, &oracle_backend,
-                               GridOptions(/*dag=*/false, parallelism));
-
         DatabaseSource dag_backend(&scenario.database, &scenario.catalog);
         BindingsResult dag =
             ExecuteForBindings(bodies[i], scenario.catalog, &dag_backend,
-                               GridOptions(/*dag=*/true, parallelism));
+                               GridOptions(parallelism));
 
-        ASSERT_EQ(dag.ok, oracle.ok) << dag.error << " vs " << oracle.error;
-        if (!oracle.ok) {
-          EXPECT_EQ(dag.error, oracle.error);
+        ASSERT_EQ(dag.ok, reference.ok)
+            << dag.error << " vs " << reference.error;
+        if (!reference.ok) {
+          EXPECT_EQ(dag.error, reference.error);
           continue;
         }
         // The witness sequence exactly, not just its set: Materialize
-        // must replay the legacy loop's left-to-right derivation order.
-        EXPECT_EQ(BindingStrings(dag), BindingStrings(oracle));
+        // must replay the left-to-right derivation order.
+        EXPECT_EQ(BindingStrings(dag), BindingStrings(reference));
       }
     }
   }
@@ -119,14 +192,14 @@ TEST(OperatorDagTest, MorselSplittingPreservesWitnessOrder) {
     for (const ConjunctiveQuery& body : plans.under.disjuncts()) {
       DatabaseSource whole_backend(&scenario.database, &scenario.catalog);
       BindingsResult whole = ExecuteForBindings(
-          body, scenario.catalog, &whole_backend, GridOptions(true, 1));
+          body, scenario.catalog, &whole_backend, GridOptions(1));
 
       for (std::size_t morsel_rows :
            {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
         SCOPED_TRACE(scenario.name +
                      " morsel_rows=" + std::to_string(morsel_rows));
         DatabaseSource backend(&scenario.database, &scenario.catalog);
-        ExecutionOptions options = GridOptions(/*dag=*/true, 1);
+        ExecutionOptions options = GridOptions(1);
         options.morsel_rows = morsel_rows;
         BindingsResult split =
             ExecuteForBindings(body, scenario.catalog, &backend, options);
@@ -138,7 +211,7 @@ TEST(OperatorDagTest, MorselSplittingPreservesWitnessOrder) {
   }
 }
 
-TEST(OperatorDagTest, ErrorMessagesMatchTheLegacyOracle) {
+TEST(OperatorDagTest, ErrorMessagesMatchTheReference) {
   const Catalog catalog = Catalog::MustParse("R/2: oo\nT/2: io\n");
   const Database db = Database::MustParseFacts(R"(
     R("a", "b").
@@ -149,10 +222,10 @@ TEST(OperatorDagTest, ErrorMessagesMatchTheLegacyOracle) {
   const ConjunctiveQuery query = MustParseRule("Q(x, w) :- R(x, z), T(z, w).");
 
   // max_bindings trips at the same literal with the same message.
-  for (bool dag : {false, true}) {
-    SCOPED_TRACE(dag ? "dag" : "legacy");
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "dag" : "reference");
     DatabaseSource backend(&db, &catalog);
-    ExecutionOptions options = GridOptions(dag, 1);
+    ExecutionOptions options = batch ? GridOptions(1) : ReferenceOptions();
     options.max_bindings = 2;
     ExecutionResult result = Execute(query, catalog, &backend, options);
     EXPECT_FALSE(result.ok);
@@ -162,25 +235,26 @@ TEST(OperatorDagTest, ErrorMessagesMatchTheLegacyOracle) {
 
   // A literal with no usable pattern fails identically.
   const ConjunctiveQuery gap = MustParseRule("Q(x, w) :- T(z, w), R(x, z).");
-  std::string oracle_error;
-  for (bool dag : {false, true}) {
+  std::string reference_error;
+  for (bool batch : {false, true}) {
     DatabaseSource backend(&db, &catalog);
-    ExecutionResult result =
-        Execute(gap, catalog, &backend, GridOptions(dag, 1));
+    ExecutionResult result = Execute(
+        gap, catalog, &backend, batch ? GridOptions(1) : ReferenceOptions());
     EXPECT_FALSE(result.ok);
-    if (!dag) {
-      oracle_error = result.error;
-      EXPECT_NE(oracle_error.find("no usable access pattern"),
+    if (!batch) {
+      reference_error = result.error;
+      EXPECT_NE(reference_error.find("no usable access pattern"),
                 std::string::npos);
     } else {
-      EXPECT_EQ(result.error, oracle_error);
+      EXPECT_EQ(result.error, reference_error);
     }
   }
 }
 
-TEST(OperatorDagTest, SharedCacheLedgerMatchesTheLegacyOracle) {
-  // With caching on, hit/miss/insert counts are part of the contract:
-  // the DAG's staged waves must group calls exactly like the loop did.
+TEST(OperatorDagTest, SharedCacheLedgerMatchesTheGoldenLegacyLoop) {
+  // With caching on, hit/miss counts are part of the contract: the DAG's
+  // staged waves must group calls exactly like the legacy loop did
+  // (golden values recorded from it).
   const Catalog catalog = Catalog::MustParse("R/2: oo io\nT/2: io\nS/1: o\n");
   const Database db = Database::MustParseFacts(R"(
     R("a", "b").
@@ -193,24 +267,13 @@ TEST(OperatorDagTest, SharedCacheLedgerMatchesTheLegacyOracle) {
   const ConjunctiveQuery query =
       MustParseRule("Q(x, w) :- R(x, z), T(z, w), not S(z).");
 
-  std::uint64_t oracle_calls = 0;
-  std::uint64_t oracle_hits = 0;
-  for (bool dag : {false, true}) {
-    SCOPED_TRACE(dag ? "dag" : "legacy");
-    DatabaseSource backend(&db, &catalog);
-    ExecutionOptions options = GridOptions(dag, 1);
-    options.runtime.cache = true;
-    ExecutionResult result = Execute(query, catalog, &backend, options);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.tuples.size(), 2u);  // Q("a","t1"), Q("c","t1")
-    if (!dag) {
-      oracle_calls = result.runtime.source_calls;
-      oracle_hits = result.runtime.cache_hits;
-    } else {
-      EXPECT_EQ(result.runtime.source_calls, oracle_calls);
-      EXPECT_EQ(result.runtime.cache_hits, oracle_hits);
-    }
-  }
+  DatabaseSource backend(&db, &catalog);
+  ExecutionOptions options = GridOptions(1);
+  options.runtime.cache = true;
+  ExecutionResult result = Execute(query, catalog, &backend, options);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.tuples.size(), 2u);  // Q("a","t1"), Q("c","t1")
+  EXPECT_EQ(LedgerOf(result.runtime), (Ledger{4, 0, 4, 0}));
 }
 
 TEST(OperatorDagTest, ExecutorCountersAccumulate) {
@@ -227,22 +290,21 @@ TEST(OperatorDagTest, ExecutorCountersAccumulate) {
 
   DatabaseSource backend(&db, &catalog);
   ExecutionResult result =
-      Execute(query, catalog, &backend, GridOptions(/*dag=*/true, 1));
+      Execute(query, catalog, &backend, GridOptions(1));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.tuples.size(), 1u);  // Q("c") — S filters away "b"
   EXPECT_EQ(result.runtime.disjuncts_executed, 1u);
   EXPECT_GE(result.runtime.morsels, 2u);  // R scan + S anti-join
   EXPECT_EQ(result.runtime.antijoin_build_tuples, 1u);  // S("b") only
 
-  // The legacy loop runs no operators; its counters stay zero. This is
-  // what makes `--legacy-executor` distinguishable in `--metrics`.
-  DatabaseSource legacy_backend(&db, &catalog);
-  ExecutionResult legacy =
-      Execute(query, catalog, &legacy_backend, GridOptions(/*dag=*/false, 1));
-  ASSERT_TRUE(legacy.ok) << legacy.error;
-  EXPECT_EQ(legacy.tuples, result.tuples);
-  EXPECT_EQ(legacy.runtime.disjuncts_executed, 0u);
-  EXPECT_EQ(legacy.runtime.morsels, 0u);
+  // The reference loop runs no operators; its disjunct counter stays
+  // zero. This is what makes `--no-batch` distinguishable in `--metrics`.
+  DatabaseSource reference_backend(&db, &catalog);
+  ExecutionResult reference =
+      Execute(query, catalog, &reference_backend, ReferenceOptions());
+  ASSERT_TRUE(reference.ok) << reference.error;
+  EXPECT_EQ(reference.tuples, result.tuples);
+  EXPECT_EQ(reference.runtime.disjuncts_executed, 0u);
 }
 
 TEST(OperatorDagTest, LoweringRendersTheCompiledChain) {

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "ast/parser.h"
+#include "cost/cost_model.h"
+#include "eval/dag_executor.h"
 #include "eval/executor.h"
 #include "runtime/fault_injection.h"
 #include "runtime/source_stack.h"
@@ -285,6 +287,87 @@ TEST_F(PipelineExecutorTest, UnionSharesTheStackAndAccumulatesCounters) {
   // Both disjuncts pipelined; the counters are the union's totals.
   EXPECT_GT(result.runtime.pipeline_rounds, 0u);
   EXPECT_GT(result.runtime.pipeline_overlaps, 0u);
+}
+
+TEST_F(PipelineExecutorTest, PipelinedDisjunctsRaceWithReferenceAnswers) {
+  // Both knobs at once: every round stages up to `depth` stages from each
+  // of up to `concurrency` chains. Answers (through Execute) and each
+  // disjunct's witness order (through the DAG driver) must equal the
+  // reference loop's, with and without a caller-supplied SimulatedClock.
+  const UnionQuery u = MustParseUnionQuery(
+      "Q(x, w) :- R(x, z), T(z, w), not S(z).\n"
+      "Q(x, w) :- R(x, z), T(z, w).");
+  ExecutionOptions reference_options;
+  reference_options.batch = false;
+  DatabaseSource reference_backend(&db_, &catalog_);
+  const ExecutionResult reference =
+      Execute(u, catalog_, &reference_backend, reference_options);
+  ASSERT_TRUE(reference.ok) << reference.error;
+  ASSERT_EQ(reference.tuples.size(), 4u);
+  std::vector<std::vector<std::string>> reference_order;
+  for (const ConjunctiveQuery& disjunct : u.disjuncts()) {
+    BindingsResult bindings = ExecuteForBindings(
+        disjunct, catalog_, &reference_backend, reference_options);
+    ASSERT_TRUE(bindings.ok) << bindings.error;
+    std::vector<std::string> order;
+    for (const Substitution& b : bindings.bindings) {
+      order.push_back(b.ToString());
+    }
+    reference_order.push_back(std::move(order));
+  }
+
+  for (std::size_t depth : {std::size_t{2}, std::size_t{3}}) {
+    for (std::size_t concurrency : {std::size_t{2}, std::size_t{3}}) {
+      for (bool with_clock : {false, true}) {
+        SCOPED_TRACE("depth=" + std::to_string(depth) +
+                     " concurrency=" + std::to_string(concurrency) +
+                     (with_clock ? " simulated-clock" : ""));
+        SimulatedClock clock;
+        DatabaseSource backend(&db_, &catalog_);
+        FaultPlan faults;
+        faults.latency_micros = 100;
+        FaultInjectingSource slow(&backend, faults,
+                                  with_clock ? &clock : nullptr);
+        ExecutionOptions options;
+        options.disjunct_concurrency = concurrency;
+        options.runtime.metering = true;
+        options.runtime.pipeline_depth = depth;
+        if (with_clock) options.runtime.clock = &clock;
+        ExecutionResult result = Execute(u, catalog_, &slow, options);
+        ASSERT_TRUE(result.ok) << result.error;
+        EXPECT_EQ(result.tuples, reference.tuples);
+        EXPECT_GT(result.runtime.pipeline_overlaps, 0u);
+        EXPECT_LE(result.runtime.pipeline_overlaps,
+                  result.runtime.pipeline_rounds);
+        // Chunks are one row (parallelism 1). Six rounds: both R scans,
+        // then four rounds that each stage both chains' next T row plus
+        // disjunct 0's S check of its previous row, then the last S
+        // check. Staging one stage per chain per round would take nine.
+        EXPECT_EQ(result.runtime.pipeline_rounds, 6u);
+        EXPECT_EQ(result.runtime.pipeline_overlaps, 5u);
+        // Each round costs its slowest lane: one 100us call.
+        if (with_clock) EXPECT_EQ(clock.NowMicros(), 6u * 100u);
+
+        DatabaseSource chain_backend(&db_, &catalog_);
+        const StaticCostModel model;
+        OperatorCounters counters;
+        UnionChainsResult chains = ExecuteChainsDag(
+            {&u.disjuncts()[0], &u.disjuncts()[1]}, catalog_, &chain_backend,
+            options, model, with_clock ? &clock : nullptr, &counters);
+        ASSERT_TRUE(chains.ok) << chains.error;
+        ASSERT_EQ(chains.bindings.size(), 2u);
+        for (std::size_t d = 0; d < 2; ++d) {
+          std::vector<std::string> order;
+          for (const Substitution& b : chains.bindings[d]) {
+            order.push_back(b.ToString());
+          }
+          EXPECT_EQ(order, reference_order[d]) << "disjunct " << d;
+        }
+        EXPECT_EQ(counters.pipeline_rounds, 6u);
+        EXPECT_EQ(counters.pipeline_overlaps, 5u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -139,6 +139,20 @@ TEST_F(DaemonTest, BadQueriesPoisonOnlyThemselves) {
   EXPECT_EQ(ok.status, ServiceResponse::Status::kOk) << ok.error;
 }
 
+TEST_F(DaemonTest, DeeplyNestedLineIsOneErrorThenTheNextRequestIsServed) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+
+  const std::string bad = daemon.SubmitLine(std::string(200000, '['));
+  EXPECT_NE(bad.find("\"status\": \"error\""), std::string::npos);
+  EXPECT_NE(bad.find("nesting deeper than"), std::string::npos);
+  EXPECT_EQ(bad.find('\n'), std::string::npos);
+
+  const std::string next = daemon.SubmitLine(
+      R"({"id": "q1", "query": "Q(x, y) :- L(x), B(x, y)."})");
+  EXPECT_NE(next.find("\"status\": \"ok\""), std::string::npos) << next;
+}
+
 TEST_F(DaemonTest, TenantQuotaRefusesConcurrentOveruse) {
   DatabaseSource backend(&db_, &catalog_);
   GatedSource gated(&backend);

@@ -110,6 +110,30 @@ TEST(ProtocolTest, RequestRejections) {
                    .has_value());
 }
 
+TEST(ProtocolTest, DeeplyNestedLineIsDiagnosedNotACrash) {
+  // 200k unclosed '[' once overflowed the parser's recursion; past the
+  // fixed nesting cap the line gets the ordinary malformed diagnosis.
+  const std::string line(200000, '[');
+  std::string error;
+  EXPECT_FALSE(ParseServiceRequest(line, &error).has_value());
+  EXPECT_EQ(error.rfind("malformed request: ", 0), 0u) << error;
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos);
+
+  // The cap is exactly 512 levels: 512 parse, 513 are diagnosed.
+  const auto nested = [](std::size_t levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  std::string at_cap_error;
+  EXPECT_TRUE(ParseJson(nested(512), &at_cap_error).has_value())
+      << at_cap_error;
+  std::string past_cap_error;
+  EXPECT_FALSE(ParseJson(nested(513), &past_cap_error).has_value());
+  EXPECT_NE(past_cap_error.find("nesting deeper than 512 levels"),
+            std::string::npos)
+      << past_cap_error;
+}
+
 TEST(ProtocolTest, ResponseRoundTripsThroughItsJsonLine) {
   ServiceResponse response;
   response.status = ServiceResponse::Status::kOk;

@@ -20,10 +20,9 @@
 // failures up to N attempts with backoff, --max-calls N caps the total
 // calls per run, --parallelism N overlaps each literal's batched wave of
 // source calls on N worker threads, --no-batch reverts the executor to
-// the per-binding reference loop (--batch restores the default),
-// --no-dictionary runs the string-path oracle instead of the
-// dictionary-encoded columnar executor, and --metrics prints the
-// per-relation call/tuple/latency table (text) or its JSON export.
+// the per-binding reference loop (--batch restores the default, the
+// operator-DAG executor), and --metrics prints the per-relation
+// call/tuple/latency table (text) or its JSON export.
 //
 // --queries FILE runs a multi-query session: the file holds one query per
 // block, blocks separated by lines containing only `---`, executed in
@@ -143,14 +142,8 @@ constexpr char kUsage[] =
     "  --parallelism N      overlap each batched wave on N worker threads\n"
     "  --pipeline-depth N   keep up to N different literals' waves in\n"
     "                       flight at once (1 = classic one-wave-at-a-time)\n"
-    "  --batch | --no-batch batched waves (default) or the per-binding\n"
-    "                       reference loop\n"
-    "  --no-dictionary      run the string-path executor instead of the\n"
-    "                       dictionary-encoded columnar default (answers\n"
-    "                       and witness order are identical either way)\n"
-    "  --legacy-executor    run the pre-DAG encoded loop instead of the\n"
-    "                       operator-DAG executor (kept as the\n"
-    "                       byte-compatibility oracle)\n"
+    "  --batch | --no-batch operator-DAG waves (default) or the per-binding\n"
+    "                       reference loop (the oracle)\n"
     "  --disjunct-concurrency N\n"
     "                       overlap up to N disjunct chains' waves per\n"
     "                       round (operator DAG; 1 = sequential disjuncts,\n"
@@ -330,10 +323,6 @@ int main(int argc, char** argv) {
       exec.batch = true;
     } else if (std::strcmp(argv[i], "--no-batch") == 0) {
       exec.batch = false;
-    } else if (std::strcmp(argv[i], "--no-dictionary") == 0) {
-      exec.dictionary = false;
-    } else if (std::strcmp(argv[i], "--legacy-executor") == 0) {
-      exec.dag = false;
     } else if (std::strcmp(argv[i], "--disjunct-concurrency") == 0) {
       if (!next_count(exec.disjunct_concurrency)) return Usage();
     } else if (std::strcmp(argv[i], "--morsel-rows") == 0) {
