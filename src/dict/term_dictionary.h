@@ -21,7 +21,7 @@ namespace ucqn {
 // interned once into a uint32 and joins, wave dedup, cache keys, and
 // negated-literal membership probes all run over flat id vectors
 // (rdf3x's id-encoded triples, DictionarySegment, are the exemplar).
-// Strings are decoded back only at result materialization and at
+// Strings are decoded back only at the executor's sink and at
 // JSON/protocol boundaries.
 //
 // Id space:
@@ -107,19 +107,6 @@ class TermDictionary {
   // Keys are views into chunk storage (stable: chunks never move and a
   // stored std::string's buffer is never touched again).
   std::unordered_map<std::string_view, std::uint32_t> ids_;
-};
-
-// A tuple or call signature as flat ids. Hash/equality are pure integer
-// loops — the representation the executor's dedup maps, anti-join
-// probes, and frontier columns are built on.
-using EncodedTuple = std::vector<std::uint32_t>;
-
-struct EncodedTupleHash {
-  std::size_t operator()(const EncodedTuple& t) const {
-    std::size_t seed = t.size();
-    for (std::uint32_t id : t) HashCombine(&seed, id);
-    return seed;
-  }
 };
 
 }  // namespace ucqn

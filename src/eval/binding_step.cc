@@ -36,6 +36,9 @@ std::optional<Substitution> UnifyWithTuple(const Literal& literal,
   const std::vector<Term>& args = literal.args();
   if (args.size() != tuple.size()) return std::nullopt;
   for (std::size_t j = 0; j < args.size(); ++j) {
+    // A tuple carrying a variable is not a fact: binding to it would
+    // leak a non-ground value into later calls and head terms.
+    if (!tuple[j].IsGround()) return std::nullopt;
     Term value = extended.Apply(args[j]);
     if (value.IsGround()) {
       if (value != tuple[j]) return std::nullopt;

@@ -20,7 +20,7 @@ namespace ucqn {
 
 // Extends `binding` so that the literal's arguments equal `tuple`;
 // nullopt on mismatch (covers repeated variables and arguments already
-// ground).
+// ground) and for a tuple of the wrong arity or carrying a variable.
 std::optional<Substitution> UnifyWithTuple(const Literal& literal,
                                            const Tuple& tuple,
                                            const Substitution& binding);

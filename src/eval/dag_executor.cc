@@ -106,12 +106,12 @@ struct Chain {
 
 }  // namespace
 
-UnionChainsResult ExecuteChainsDag(
-    const std::vector<const ConjunctiveQuery*>& disjuncts,
-    const Catalog& catalog, Source* source, const ExecutionOptions& options,
-    const CostModel& model, Clock* clock, OperatorCounters* counters) {
-  UnionChainsResult result;
-  TermDictionary& dict = TermDictionary::Global();
+ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
+                        const Catalog& catalog, Source* source,
+                        const ExecutionOptions& options,
+                        const CostModel& model, Clock* clock,
+                        OperatorCounters* counters) {
+  ChainSinks result;
 
   std::vector<Chain> chains(disjuncts.size());
   for (std::size_t d = 0; d < disjuncts.size(); ++d) {
@@ -119,7 +119,7 @@ UnionChainsResult ExecuteChainsDag(
     const std::vector<Literal>& body = disjuncts[d]->body();
     if (body.empty()) {
       // An empty body satisfies the one empty binding it started from.
-      chain.materialize.Push(ColumnarFrontier(), dict);
+      chain.materialize.Push(ColumnarFrontier());
       chain.done = true;
       ++counters->disjuncts_executed;
       continue;
@@ -234,7 +234,7 @@ UnionChainsResult ExecuteChainsDag(
       // the reference loop's break on an empty frontier.
       if (out.rows() == 0) continue;
       if (lane.stage + 1 == chain.ops.size()) {
-        chain.materialize.Push(out, dict);
+        chain.materialize.Push(std::move(out));
       } else {
         chain.queues[lane.stage + 1].Push(std::move(out),
                                           options.morsel_rows);
@@ -243,9 +243,25 @@ UnionChainsResult ExecuteChainsDag(
   }
 
   result.ok = true;
-  result.bindings.reserve(chains.size());
+  result.sinks.reserve(chains.size());
   for (Chain& chain : chains) {
-    result.bindings.push_back(std::move(chain.materialize.bindings()));
+    result.sinks.push_back(std::move(chain.materialize));
+  }
+  return result;
+}
+
+UnionChainsResult ExecuteChainsDag(
+    const std::vector<const ConjunctiveQuery*>& disjuncts,
+    const Catalog& catalog, Source* source, const ExecutionOptions& options,
+    const CostModel& model, Clock* clock, OperatorCounters* counters) {
+  ChainSinks run = RunChainsDag(disjuncts, catalog, source, options, model,
+                                clock, counters);
+  UnionChainsResult result;
+  result.ok = run.ok;
+  result.error = std::move(run.error);
+  const TermDictionary& dict = TermDictionary::Global();
+  for (const MaterializeOp& sink : run.sinks) {
+    result.bindings.push_back(sink.Bindings(dict));
   }
   return result;
 }

@@ -9,6 +9,7 @@
 #include "cost/cost_model.h"
 #include "eval/executor.h"
 #include "eval/op/operator.h"
+#include "eval/op/operators.h"
 #include "eval/source.h"
 #include "runtime/clock.h"
 #include "schema/catalog.h"
@@ -24,6 +25,15 @@ struct UnionChainsResult {
   bool ok = false;
   std::string error;
   std::vector<std::vector<Substitution>> bindings;
+};
+
+// The same drive before any decoding: one Materialize sink per disjunct
+// in input order, holding its surviving id morsels in witness order (or
+// none when !ok). Execute projects heads straight from these.
+struct ChainSinks {
+  bool ok = false;
+  std::string error;
+  std::vector<MaterializeOp> sinks;
 };
 
 // The push-based DAG driver — the one batch executor. Lowers each
@@ -61,6 +71,13 @@ struct UnionChainsResult {
 // every pattern decision. `clock` may be null (no overlap accounting).
 // `source` is the effective source — any runtime stack has already been
 // interposed by the caller.
+ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
+                        const Catalog& catalog, Source* source,
+                        const ExecutionOptions& options,
+                        const CostModel& model, Clock* clock,
+                        OperatorCounters* counters);
+
+// RunChainsDag with each sink read out as Substitutions (witness order).
 UnionChainsResult ExecuteChainsDag(
     const std::vector<const ConjunctiveQuery*>& disjuncts,
     const Catalog& catalog, Source* source, const ExecutionOptions& options,

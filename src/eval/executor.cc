@@ -115,8 +115,8 @@ BindingsResult ExecuteReference(const ConjunctiveQuery& q,
   return result;
 }
 
-// One body on the configured engine: the reference loop when batching is
-// off, the operator DAG otherwise.
+// One body's witnesses on the configured engine: the reference loop when
+// batching is off, the operator DAG (decoded in witness order) otherwise.
 BindingsResult ExecuteBody(const ConjunctiveQuery& q, const Catalog& catalog,
                            const ExecutionOptions& options, const Run& run) {
   if (!options.batch) return ExecuteReference(q, catalog, options, run);
@@ -145,19 +145,22 @@ ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q) {
   return result;
 }
 
-// Projects the body's witnesses through `q`'s head into `result`'s tuple
-// set (set semantics). False — with the error set and the tuples cleared
-// — when some witness leaves a head term non-ground.
-bool ProjectHead(const ConjunctiveQuery& q,
-                 const std::vector<Substitution>& bindings,
-                 ExecutionResult* result) {
+std::string HeadNotBound(const ConjunctiveQuery& q) {
+  return "head not fully bound by executable body: " + q.ToString();
+}
+
+// Projects the reference loop's witnesses through `q`'s head into
+// `result`'s tuple set (set semantics). False — with the error set and
+// the tuples cleared — when some witness leaves a head term non-ground.
+bool ProjectBindings(const ConjunctiveQuery& q,
+                     const std::vector<Substitution>& bindings,
+                     ExecutionResult* result) {
   for (const Substitution& binding : bindings) {
     Tuple head = binding.Apply(q.head_terms());
     for (const Term& t : head) {
       if (!t.IsGround()) {
         result->ok = false;
-        result->error = "head not fully bound by executable body: " +
-                        q.ToString();
+        result->error = HeadNotBound(q);
         result->tuples.clear();
         return false;
       }
@@ -167,19 +170,44 @@ bool ProjectHead(const ConjunctiveQuery& q,
   return true;
 }
 
+// The DAG's readout of the same projection: straight from the sink's id
+// columns, each distinct answer decoded once. Same failure contract.
+bool ProjectSink(const ConjunctiveQuery& q, const MaterializeOp& sink,
+                 ExecutionResult* result) {
+  if (sink.ProjectHead(q.head_terms(), TermDictionary::Global(),
+                       &result->tuples)) {
+    return true;
+  }
+  result->ok = false;
+  result->error = HeadNotBound(q);
+  result->tuples.clear();
+  return false;
+}
+
 ExecutionResult ExecuteDisjunct(const ConjunctiveQuery& q,
                                 const Catalog& catalog,
                                 const ExecutionOptions& options,
                                 const Run& run) {
   if (q.IsTrueQuery()) return ExecuteTrueQuery(q);
   ExecutionResult result;
-  BindingsResult body = ExecuteBody(q, catalog, options, run);
-  if (!body.ok) {
-    result.error = std::move(body.error);
+  if (!options.batch) {
+    BindingsResult body = ExecuteReference(q, catalog, options, run);
+    if (!body.ok) {
+      result.error = std::move(body.error);
+      return result;
+    }
+    result.ok = true;
+    ProjectBindings(q, body.bindings, &result);
+    return result;
+  }
+  ChainSinks chains = RunChainsDag({&q}, catalog, run.source, options,
+                                   *run.model, run.clock, run.counters);
+  if (!chains.ok) {
+    result.error = std::move(chains.error);
     return result;
   }
   result.ok = true;
-  ProjectHead(q, body.bindings, &result);
+  ProjectSink(q, chains.sinks.front(), &result);
   return result;
 }
 
@@ -200,8 +228,9 @@ ExecutionResult ExecuteUnion(const UnionQuery& q, const Catalog& catalog,
   }
   // Concurrent disjuncts: true-queries resolve inline (in disjunct
   // order), then every remaining chain races through one DAG drive. Heads
-  // project in disjunct order afterwards, so the answer set (and every
-  // error string) matches the sequential loop above.
+  // project in disjunct order afterwards, so the answer set matches the
+  // sequential loop above. When more than one disjunct would fail, the
+  // error reported is the first in round order, not in disjunct order.
   std::vector<const ConjunctiveQuery*> bodies;
   for (const ConjunctiveQuery& disjunct : disjuncts) {
     if (!disjunct.IsTrueQuery()) {
@@ -213,16 +242,15 @@ ExecutionResult ExecuteUnion(const UnionQuery& q, const Catalog& catalog,
     result.tuples.insert(part.tuples.begin(), part.tuples.end());
   }
   if (bodies.empty()) return result;
-  UnionChainsResult chains =
-      ExecuteChainsDag(bodies, catalog, run.source, options, *run.model,
-                       run.clock, run.counters);
+  ChainSinks chains = RunChainsDag(bodies, catalog, run.source, options,
+                                   *run.model, run.clock, run.counters);
   if (!chains.ok) {
     ExecutionResult failed;
     failed.error = std::move(chains.error);
     return failed;
   }
   for (std::size_t i = 0; i < bodies.size(); ++i) {
-    if (!ProjectHead(*bodies[i], chains.bindings[i], &result)) break;
+    if (!ProjectSink(*bodies[i], chains.sinks[i], &result)) break;
   }
   return result;
 }

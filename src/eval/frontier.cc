@@ -10,7 +10,7 @@ std::size_t ColumnarFrontier::AddVar(const std::string& var) {
   return index;
 }
 
-void ColumnarFrontier::Retain(const std::vector<std::size_t>& selection) {
+void ColumnarFrontier::Retain(const std::vector<std::uint32_t>& selection) {
   for (std::vector<std::uint32_t>& column : columns_) {
     for (std::size_t i = 0; i < selection.size(); ++i) {
       column[i] = column[selection[i]];
@@ -18,6 +18,24 @@ void ColumnarFrontier::Retain(const std::vector<std::size_t>& selection) {
     column.resize(selection.size());
   }
   rows_ = selection.size();
+}
+
+ColumnarFrontier ColumnarFrontier::Gather(
+    const std::vector<std::uint32_t>& selection) const {
+  ColumnarFrontier out;
+  out.vars_ = vars_;
+  out.var_index_ = var_index_;
+  out.columns_.resize(columns_.size());
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    const std::vector<std::uint32_t>& from = columns_[c];
+    std::vector<std::uint32_t>& to = out.columns_[c];
+    to.resize(selection.size());
+    for (std::size_t i = 0; i < selection.size(); ++i) {
+      to[i] = from[selection[i]];
+    }
+  }
+  out.rows_ = selection.size();
+  return out;
 }
 
 Substitution ColumnarFrontier::DecodeRow(std::size_t row,

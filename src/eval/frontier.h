@@ -15,9 +15,9 @@ namespace ucqn {
 // column per bound variable, rows in derivation order. This is the
 // id-encoded replacement for a vector<Substitution> on the hot path —
 // extending the frontier through a literal's fetched tuples appends to
-// flat uint32 columns instead of copying a hash map per binding, and
-// filtering through a negated literal compacts the columns through a
-// selection vector instead of rebuilding the vector.
+// flat uint32 columns instead of copying a hash map per binding: a join
+// gathers every column once through a selection vector, and filtering
+// through a negated literal compacts the columns through one.
 //
 // Row order is the paper's witness order (left-to-right derivation):
 // every operation here preserves it, which is what lets the operator
@@ -59,10 +59,15 @@ class ColumnarFrontier {
   // Keeps exactly the rows in `selection` (ascending row indices),
   // compacting every column in place. The anti-join filter of a
   // negated literal.
-  void Retain(const std::vector<std::size_t>& selection);
+  void Retain(const std::vector<std::uint32_t>& selection);
+
+  // A frontier over the same variables whose row i is row selection[i]
+  // of this one (any order, repeats allowed): one gather per column. The
+  // join's output before its new variables' columns are appended.
+  ColumnarFrontier Gather(const std::vector<std::uint32_t>& selection) const;
 
   // Decodes row `row` back into the Substitution the reference-loop
-  // executor would have built — the result-materialization boundary.
+  // executor would have built — the witness readout of the sink.
   Substitution DecodeRow(std::size_t row, const TermDictionary& dict) const;
 
   // All rows, in witness order.

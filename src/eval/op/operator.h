@@ -27,13 +27,13 @@ enum class OperatorKind {
   // semi-join — one output row per matching fetched tuple, exactly the
   // reference loop's witness multiplicity).
   kFilter,
-  // Negated literal: builds an id-keyed hash set per distinct request
-  // from the fetched tuples and keeps exactly the frontier rows whose
+  // Negated literal: builds the distinct (request, tuple) id keys of the
+  // fetched tuples and keeps exactly the frontier rows whose
   // instantiation is absent (Definition 3's membership filter, run
   // set-at-a-time).
   kHashAntiJoin,
-  // Chain sink: decodes surviving morsels back into Substitutions in
-  // derivation order.
+  // Chain sink: keeps the surviving id morsels in derivation order, read
+  // out as projected head tuples or as Substitutions.
   kMaterialize,
 };
 
@@ -53,8 +53,7 @@ struct OperatorCounters {
   // whole frontier is one morsel unless ExecutionOptions::morsel_rows
   // splits it).
   std::uint64_t morsels = 0;
-  // Tuples inserted into anti-join build-side hash sets (distinct per
-  // request).
+  // Tuples inserted into anti-join build sides (distinct per request).
   std::uint64_t antijoin_build_tuples = 0;
   // Inter-literal pipelining (RuntimeOptions::pipeline_depth > 1): rounds
   // that staged a chain of >= 2 literals, and how many of them resolved

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "cost/cost_model.h"
 #include "dict/term_dictionary.h"
 #include "eval/frontier.h"
+#include "eval/op/id_table.h"
 #include "eval/op/operator.h"
 #include "eval/source.h"
 #include "schema/catalog.h"
@@ -26,7 +28,10 @@ namespace ucqn {
 struct PendingWave {
   ColumnarFrontier morsel;
   std::vector<std::vector<std::optional<Term>>> requests;
-  std::vector<std::size_t> slot_of;  // row -> index into `requests`
+  std::vector<std::uint32_t> slot_of;  // row -> index into `requests`
+  // Per request, the frontier ids of its input slots (the operator's
+  // input-slot order), flat.
+  std::vector<std::uint32_t> keys;
 };
 
 // A source-literal operator of the DAG (AccessScan / HashJoin / Filter /
@@ -84,6 +89,21 @@ class FetchOperator {
     error_ = std::move(error);
     return false;
   }
+  // Encodes the fetched tuples request by request into `tuples_`
+  // (arity ids each), dropping those no unification could accept: wrong
+  // arity or not ground. With `agree`, also drops those that disagree
+  // with a constant, a repeated variable, or the request's own input
+  // values. tuple_end_[f] closes request f's range.
+  void EncodeTuples(const std::vector<FetchResult>& fetched,
+                    const std::vector<std::uint32_t>& keys, bool agree);
+  // The positive-literal kernel: (row, tuple) pairs in row order x fetch
+  // order into the selection vectors, then one gather per column.
+  void Join(const ColumnarFrontier& frontier,
+            const std::vector<std::uint32_t>& slot_of, ColumnarFrontier* out);
+  // The negated-literal kernel: keeps the rows whose instantiation is
+  // not among their request's tuples.
+  void AntiJoin(const std::vector<std::uint32_t>& slot_of,
+                ColumnarFrontier* frontier);
 
   OperatorKind kind_;
   const Literal* literal_;
@@ -96,24 +116,52 @@ class FetchOperator {
   std::vector<SlotPlan> plan_;
   std::vector<std::size_t> binder_slots_;  // slots introducing new vars
   bool binds_new_ = false;
+  // Input slots read from the frontier (the wave's dedup key, in slot
+  // order), and bound variables at output slots (the join's probe key
+  // after the request). Set by Prepare.
+  std::vector<std::size_t> input_slots_;
+  std::vector<std::size_t> filter_slots_;
+  // A request before its input-slot values: constants at constant input
+  // slots, empty elsewhere.
+  std::vector<std::optional<Term>> request_template_;
   std::size_t rows_out_ = 0;
   std::string error_;
+
+  // Kernel buffers, reused across morsels so steady state allocates
+  // nothing per row.
+  IdTable table_;
+  std::vector<std::uint32_t> key_;
+  std::vector<std::uint32_t> tuples_;
+  std::vector<std::size_t> tuple_end_;
+  std::vector<std::uint32_t> sel_rows_;
+  std::vector<std::uint32_t> sel_tuples_;
 };
 
-// The chain sink: decodes surviving morsels back into Substitutions, in
-// push (= derivation = witness) order.
+// The chain sink: owns the surviving morsels (moved in, in push =
+// derivation = witness order) and reads them out two ways — as
+// Substitutions for the witness API, or projected through a head
+// straight from the id columns, decoding each distinct answer once.
 class MaterializeOp {
  public:
-  void Push(const ColumnarFrontier& morsel, const TermDictionary& dict) {
-    std::vector<Substitution> decoded = morsel.DecodeAll(dict);
-    bindings_.insert(bindings_.end(),
-                     std::make_move_iterator(decoded.begin()),
-                     std::make_move_iterator(decoded.end()));
+  void Push(ColumnarFrontier&& morsel) {
+    rows_ += morsel.rows();
+    morsels_.push_back(std::move(morsel));
   }
-  std::vector<Substitution>& bindings() { return bindings_; }
+
+  // Every row as the Substitution the reference loop would have built,
+  // in witness order.
+  std::vector<Substitution> Bindings(const TermDictionary& dict) const;
+
+  // Inserts the distinct projections of every row through `head` into
+  // `answers`. False, inserting nothing, when some head variable is not
+  // a column and at least one row exists (the head is not fully bound);
+  // zero rows project to nothing and never fail.
+  bool ProjectHead(const std::vector<Term>& head, const TermDictionary& dict,
+                   std::set<Tuple>* answers) const;
 
  private:
-  std::vector<Substitution> bindings_;
+  std::vector<ColumnarFrontier> morsels_;
+  std::size_t rows_ = 0;
 };
 
 }  // namespace ucqn

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 namespace ucqn {
 
@@ -27,6 +28,40 @@ bool WriteAll(int fd, const std::string& text) {
 }
 
 }  // namespace
+
+std::string OverlongLineResponse() {
+  ServiceResponse response;
+  response.status = ServiceResponse::Status::kError;
+  response.error = "request line longer than " +
+                   std::to_string(kMaxRequestLineBytes) + " bytes";
+  return response.ToJsonLine();
+}
+
+void ServeStream(QueryDaemon* daemon, std::istream& in, std::ostream& out) {
+  // Room for one byte past the cap: a line that fills the buffer is
+  // exactly the over-long case.
+  std::string buffer(kMaxRequestLineBytes + 2, '\0');
+  for (;;) {
+    in.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0 && in.fail()) break;  // EOF
+    // A newline that ended the line is counted in gcount, not stored.
+    const bool ended = !in.fail() && !in.eof();
+    const std::size_t length = ended ? got - 1 : got;
+    if (length > kMaxRequestLineBytes) {
+      if (in.fail()) {  // the rest of the line is still unread
+        in.clear();
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      }
+      out << OverlongLineResponse() << std::endl;
+      continue;
+    }
+    const std::string line(buffer.data(), length);
+    if (line.find_first_not_of(" \t\r") != std::string::npos) {
+      out << daemon->SubmitLine(line) << std::endl;
+    }
+  }
+}
 
 bool SocketListener::Start(const std::string& path, std::string* error) {
   auto fail = [&](const std::string& why) {
@@ -85,9 +120,12 @@ void SocketListener::ServeConnection(int fd) {
   // Byte-stream to line framing: accumulate reads, cut on '\n'. Each line
   // is one request; each response is written before the next line is
   // served, so a pipelining client gets responses in request order.
+  // A line over kMaxRequestLineBytes — complete or still arriving — is
+  // answered with one error line and ends the connection.
   std::string buffer;
   char chunk[4096];
-  for (;;) {
+  bool open = true;
+  while (open) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -98,18 +136,36 @@ void SocketListener::ServeConnection(int fd) {
     std::size_t start = 0;
     for (;;) {
       const std::size_t newline = buffer.find('\n', start);
+      const std::size_t end =
+          newline == std::string::npos ? buffer.size() : newline;
+      if (end - start > kMaxRequestLineBytes) {
+        WriteAll(fd, OverlongLineResponse() + "\n");
+        open = false;
+        break;
+      }
       if (newline == std::string::npos) break;
       std::string line = buffer.substr(start, newline - start);
       start = newline + 1;
       if (line.empty()) continue;
       if (!WriteAll(fd, daemon_->SubmitLine(line) + "\n")) {
-        start = buffer.size();
+        open = false;
         break;
       }
     }
     buffer.erase(0, start);
   }
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    // Absent once Stop has taken the list.
+    auto it = std::find(conn_fds_.begin(), conn_fds_.end(), fd);
+    if (it != conn_fds_.end()) conn_fds_.erase(it);
+  }
   ::close(fd);
+}
+
+std::size_t SocketListener::open_connections() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_fds_.size();
 }
 
 void SocketListener::Stop() {

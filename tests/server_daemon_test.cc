@@ -7,19 +7,27 @@
 #include "server/daemon.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "server/listener.h"
 #include "server/prepared_query.h"
 #include "server/snapshot.h"
 #include "util/json.h"
@@ -688,6 +696,176 @@ TEST_F(DaemonTest, StatsOpReportsThePreparedCache) {
   EXPECT_EQ(counts.entries, 2u);
   EXPECT_EQ(counts.hits, 2u);
   EXPECT_EQ(counts.misses, 2u);
+}
+
+// A request line padded with JSON whitespace to exactly `bytes` bytes.
+std::string PaddedQueryLine(const std::string& id, std::size_t bytes) {
+  const std::string body =
+      R"("id": ")" + id + R"(", "query": "Q(x, y) :- L(x), B(x, y)."})";
+  return "{" + std::string(bytes - 1 - body.size(), ' ') + body;
+}
+
+TEST_F(DaemonTest, StdioCapsRequestLinesAndServesTheNextOne) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  std::istringstream in(PaddedQueryLine("edge", kMaxRequestLineBytes) + "\n" +
+                        std::string(kMaxRequestLineBytes + 1, 'x') + "\n" +
+                        R"({"id": "next", "query": "Q(x) :- L(x)."})" +
+                        "\n\n" + std::string(kMaxRequestLineBytes + 1, 'y'));
+  std::ostringstream out;
+  ServeStream(&daemon, in, out);
+
+  std::vector<std::string> lines;
+  std::istringstream replies(out.str());
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u) << out.str();
+  EXPECT_NE(lines[0].find(R"("id": "edge")"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(R"("status": "ok")"), std::string::npos);
+  EXPECT_EQ(lines[1], OverlongLineResponse());
+  EXPECT_NE(lines[1].find("request line longer than 1048576 bytes"),
+            std::string::npos);
+  EXPECT_NE(lines[2].find(R"("id": "next")"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find(R"("status": "ok")"), std::string::npos);
+  // An over-long last line without its newline is refused the same way.
+  EXPECT_EQ(lines[3], OverlongLineResponse());
+}
+
+// A client connection on the listener's socket.
+class Client {
+ public:
+  explicit Client(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~Client() { ::close(fd_); }
+
+  bool connected() const { return connected_; }
+
+  bool Send(const std::string& text) {
+    std::size_t sent = 0;
+    while (sent < text.size()) {
+      const ssize_t n = ::send(fd_, text.data() + sent, text.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  // The next response line, or nullopt at EOF.
+  std::optional<std::string> ReadLine() {
+    for (;;) {
+      const std::size_t newline = pending_.find('\n');
+      if (newline != std::string::npos) {
+        std::string line = pending_.substr(0, newline);
+        pending_.erase(0, newline + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n <= 0) return std::nullopt;
+      pending_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  std::string pending_;
+};
+
+std::string SocketPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("ucqnd-" + name + "-" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
+bool WaitForNoConnections(SocketListener* listener) {
+  for (int i = 0; i < 500; ++i) {
+    if (listener->open_connections() == 0) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+// Closed connections forget their fds before closing them, so Stop never
+// shuts down a descriptor number the process has since reused.
+TEST_F(DaemonTest, ListenerStopLeavesReusedDescriptorsAlone) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  SocketListener listener(&daemon);
+  std::string error;
+  ASSERT_TRUE(listener.Start(SocketPath("reuse"), &error)) << error;
+  for (int i = 0; i < 4; ++i) {
+    Client client(listener.path());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.Send(R"({"id": "q", "query": "Q(x) :- L(x)."})"
+                            "\n"));
+    const std::optional<std::string> reply = client.ReadLine();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_NE(reply->find(R"("status": "ok")"), std::string::npos) << *reply;
+  }
+  ASSERT_TRUE(WaitForNoConnections(&listener));
+
+  // The freed numbers go to new sockets, which must survive Stop.
+  std::vector<std::array<int, 2>> pairs(4);
+  for (std::array<int, 2>& pair : pairs) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair.data()), 0);
+  }
+  listener.Stop();
+  for (const std::array<int, 2>& pair : pairs) {
+    char byte = 'p';
+    EXPECT_EQ(::send(pair[0], &byte, 1, MSG_NOSIGNAL), 1);
+    EXPECT_EQ(::read(pair[1], &byte, 1), 1);
+    EXPECT_EQ(byte, 'p');
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
+}
+
+TEST_F(DaemonTest, ListenerCapsRequestLinesThenClosesTheConnection) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  SocketListener listener(&daemon);
+  std::string error;
+  ASSERT_TRUE(listener.Start(SocketPath("cap"), &error)) << error;
+
+  Client edge(listener.path());
+  ASSERT_TRUE(edge.connected());
+  ASSERT_TRUE(edge.Send(PaddedQueryLine("edge", kMaxRequestLineBytes) + "\n"));
+  std::optional<std::string> reply = edge.ReadLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->find(R"("status": "ok")"), std::string::npos) << *reply;
+  // The connection stays usable after a line at the cap.
+  ASSERT_TRUE(edge.Send(R"({"id": "after", "query": "Q(x) :- L(x)."})"
+                        "\n"));
+  reply = edge.ReadLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->find(R"("id": "after")"), std::string::npos) << *reply;
+
+  // One byte over the cap, before any newline arrives: one error line,
+  // then the connection is closed and the next request goes unread.
+  Client over(listener.path());
+  ASSERT_TRUE(over.connected());
+  ASSERT_TRUE(over.Send(std::string(kMaxRequestLineBytes + 1, 'x')));
+  reply = over.ReadLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(*reply, OverlongLineResponse());
+  EXPECT_FALSE(over.ReadLine().has_value());
+
+  // Other connections are unaffected.
+  Client next(listener.path());
+  ASSERT_TRUE(next.connected());
+  ASSERT_TRUE(next.Send(R"({"id": "next", "query": "Q(x) :- L(x)."})"
+                        "\n"));
+  reply = next.ReadLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->find(R"("status": "ok")"), std::string::npos) << *reply;
+  listener.Stop();
 }
 
 }  // namespace

@@ -63,16 +63,6 @@ TEST(TermDictionaryTest, EncodeGroundRoundTripsEveryGroundTerm) {
   }
 }
 
-TEST(TermDictionaryTest, EncodedTupleHashTreatsContentNotIdentity) {
-  EncodedTupleHash hash;
-  const EncodedTuple ab = {1, 2};
-  EncodedTuple ab2 = {1, 2};
-  EXPECT_EQ(hash(ab), hash(ab2));
-  EXPECT_TRUE(ab == ab2);
-  const EncodedTuple ba = {2, 1};
-  EXPECT_FALSE(ab == ba);
-}
-
 TEST(ColumnarFrontierTest, DefaultIsTheUnitFrontier) {
   ColumnarFrontier frontier;
   EXPECT_EQ(frontier.rows(), 1u);
@@ -120,6 +110,27 @@ TEST(ColumnarFrontierTest, RetainCompactsBySelectionVector) {
 
   frontier.Retain({});  // empty selection = empty frontier
   EXPECT_EQ(frontier.rows(), 0u);
+}
+
+TEST(ColumnarFrontierTest, GatherRepeatsAndReordersRows) {
+  TermDictionary dict;
+  ColumnarFrontier frontier;
+  frontier.AddVar("X");
+  frontier.AddVar("Y");
+  frontier.MutableColumn(0) = {dict.Intern("a"), dict.Intern("b")};
+  frontier.MutableColumn(1) = {dict.Intern("c"), dict.Intern("d")};
+  frontier.SetRows(2);
+
+  // A join's row selection: row 1 twice, then row 0.
+  const ColumnarFrontier out = frontier.Gather({1, 1, 0});
+  EXPECT_EQ(out.rows(), 3u);
+  EXPECT_EQ(out.vars(), frontier.vars());
+  EXPECT_EQ(out.ColumnOf("Y"), 1u);
+  const std::vector<Substitution> rows = out.DecodeAll(dict);
+  EXPECT_EQ(*rows[0].Lookup(Term::Variable("X")), Term::Constant("b"));
+  EXPECT_EQ(*rows[1].Lookup(Term::Variable("Y")), Term::Constant("d"));
+  EXPECT_EQ(*rows[2].Lookup(Term::Variable("X")), Term::Constant("a"));
+  EXPECT_EQ(frontier.Gather({}).rows(), 0u);
 }
 
 TEST(ColumnarFrontierTest, ColumnOfFindsVariablesByName) {

@@ -10,7 +10,9 @@
 // Transports: --socket PATH listens on a Unix-domain stream socket (one
 // response line per request line, per-connection ordering); --stdio
 // serves a single session on stdin/stdout — the form tests and shell
-// pipes use. Protocol example:
+// pipes use. A request line over 1 MiB (kMaxRequestLineBytes) gets one
+// error line; the socket then closes that connection, stdio reads on.
+// Protocol example:
 //
 //   {"op": "query", "id": "q1", "tenant": "alice", "query": "Q(x) :- L(x)."}
 //
@@ -275,12 +277,7 @@ int main(int argc, char** argv) {
   // --stdio mode.
   if (stdio) {
     std::fprintf(stderr, "ucqnd: serving on stdio (EOF drains and exits)\n");
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      std::printf("%s\n", daemon.SubmitLine(line).c_str());
-      std::fflush(stdout);
-    }
+    ServeStream(&daemon, std::cin, std::cout);
     daemon.Drain();
     std::fprintf(stderr, "ucqnd: drained (%llu queries served)\n",
                  static_cast<unsigned long long>(daemon.queries_served()));
