@@ -57,6 +57,7 @@
 // benchmarks.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -733,8 +734,11 @@ struct DaemonWarmRun {
 DaemonWarmRun RunDaemonWarmStart() {
   Catalog catalog = JoinCatalog();
   Database db = JoinDatabase(1024);
+  // Per process, so concurrent runs (the smoke test and the simulated
+  // pin under `ctest -j`) never remove each other's snapshot files.
   const std::string snapshot_dir =
-      (std::filesystem::temp_directory_path() / "ucqn_bench_daemon_snap")
+      (std::filesystem::temp_directory_path() /
+       ("ucqn_bench_daemon_snap-" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(snapshot_dir);
 

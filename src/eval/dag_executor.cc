@@ -21,17 +21,6 @@ ColumnarFrontier EmptyLike(const ColumnarFrontier& shape) {
   return out;
 }
 
-// Appends rows [begin, end) of `from` to `to` (same variables).
-void AppendRows(const ColumnarFrontier& from, std::size_t begin,
-                std::size_t end, ColumnarFrontier* to) {
-  for (std::size_t c = 0; c < from.width(); ++c) {
-    std::vector<std::uint32_t>& column = to->MutableColumn(c);
-    column.insert(column.end(), from.Column(c).begin() + begin,
-                  from.Column(c).begin() + end);
-  }
-  to->SetRows(to->rows() + (end - begin));
-}
-
 // One stage's FIFO of pending morsels. `head` rows of the front morsel
 // have already been taken by pipelined chunks.
 struct MorselQueue {
@@ -50,8 +39,7 @@ struct MorselQueue {
     }
     for (std::size_t start = 0; start < out.rows(); start += morsel_rows) {
       ColumnarFrontier chunk = EmptyLike(out);
-      AppendRows(out, start, std::min(start + morsel_rows, out.rows()),
-                 &chunk);
+      chunk.AppendRows(out, start, std::min(start + morsel_rows, out.rows()));
       morsels.push_back(std::move(chunk));
     }
   }
@@ -69,7 +57,7 @@ struct MorselQueue {
       const ColumnarFrontier& front = morsels.front();
       const std::size_t take =
           std::min(limit - out.rows(), front.rows() - head);
-      AppendRows(front, head, head + take, &out);
+      out.AppendRows(front, head, head + take);
       head += take;
       if (head == front.rows()) {
         morsels.pop_front();
@@ -110,8 +98,9 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
                         const Catalog& catalog, Source* source,
                         const ExecutionOptions& options,
                         const CostModel& model, Clock* clock,
-                        OperatorCounters* counters) {
+                        OperatorCounters* counters, bool project_heads) {
   ChainSinks result;
+  KernelScratch scratch;  // shared by every operator of the drive
 
   std::vector<Chain> chains(disjuncts.size());
   for (std::size_t d = 0; d < disjuncts.size(); ++d) {
@@ -127,7 +116,8 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
     std::vector<OperatorKind> kinds = LowerOperatorKinds(*disjuncts[d]);
     chain.ops.reserve(body.size());
     for (std::size_t i = 0; i < body.size(); ++i) {
-      chain.ops.emplace_back(kinds[i], &body[i], &catalog, &model, counters);
+      chain.ops.emplace_back(kinds[i], disjuncts[d], i, project_heads,
+                             &catalog, &model, counters, &scratch);
     }
     chain.queues.resize(body.size());
     // The unit frontier every plan seeds.
@@ -141,8 +131,18 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
   const std::size_t chunk =
       depth > 1 ? std::max<std::size_t>(options.runtime.parallelism, 1) : 0;
 
+  // The lowest-index failed chain so far (chains.size() = none). Chains
+  // after it stop; chains before it run on until they finish or fail, so
+  // the error reported is the first in disjunct order.
+  result.failed = chains.size();
+  auto fail = [&](std::size_t d, std::string error) {
+    ++counters->disjuncts_executed;
+    result.failed = d;
+    result.error = std::move(error);
+  };
+
   struct Lane {
-    Chain* chain = nullptr;
+    std::size_t d = 0;  // the chain's disjunct index
     std::size_t stage = 0;
     PendingWave wave;
     FetchFuture future;
@@ -155,8 +155,9 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
     std::vector<Lane> lanes;
     std::size_t runnable = 0;
     bool pipelined = false;
-    for (Chain& chain : chains) {
-      if (runnable == concurrency) break;
+    for (std::size_t d = 0; d < result.failed && runnable < concurrency;
+         ++d) {
+      Chain& chain = chains[d];
       if (chain.done) continue;
       chain.DeepestStages(depth, &stages);
       if (stages.empty()) {
@@ -168,16 +169,19 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
       pipelined = pipelined || (depth > 1 && chain.ops.size() >= 2);
       for (std::size_t stage : stages) {
         Lane lane;
-        lane.chain = &chain;
+        lane.d = d;
         lane.stage = stage;
         if (!chain.ops[stage].Stage(chain.queues[stage].Take(chunk),
                                     &lane.wave)) {
-          ++counters->disjuncts_executed;
-          result.error = chain.ops[stage].error();
-          return result;
+          fail(d, chain.ops[stage].error());
+          break;
         }
         lanes.push_back(std::move(lane));
       }
+    }
+    // A chain that failed while staging issues none of its waves.
+    while (!lanes.empty() && lanes.back().d >= result.failed) {
+      lanes.pop_back();
     }
     if (lanes.empty()) break;
     if (pipelined) {
@@ -189,14 +193,14 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
       // Synchronous wave: one FetchBatch, so at the defaults every
       // cache/retry/parallel ledger sees one wave per literal in order.
       Lane& lane = lanes.front();
-      const FetchOperator& op = lane.chain->ops[lane.stage];
+      const FetchOperator& op = chains[lane.d].ops[lane.stage];
       lane.fetched = source->FetchBatch(op.literal().relation(),
                                         *op.pattern(), lane.wave.requests);
     } else {
       // Concurrent waves: issue in lane order, resolve all inside one
       // overlap bracket (see runtime/clock.h).
       for (Lane& lane : lanes) {
-        const FetchOperator& op = lane.chain->ops[lane.stage];
+        const FetchOperator& op = chains[lane.d].ops[lane.stage];
         lane.future =
             source->FetchBatchAsync(op.literal().relation(), *op.pattern(),
                                     std::move(lane.wave.requests));
@@ -210,24 +214,22 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
       if (clock != nullptr) clock->EndOverlap();
     }
 
-    // Merge in lane order; the first failing lane aborts the whole union
-    // (no partial answers).
+    // Merge in lane order (ascending disjunct); a failing lane stops its
+    // chain and every later one (no partial answers).
     for (Lane& lane : lanes) {
-      Chain& chain = *lane.chain;
+      Chain& chain = chains[lane.d];
       FetchOperator& op = chain.ops[lane.stage];
       ColumnarFrontier out;
       if (!op.Absorb(std::move(lane.wave), std::move(lane.fetched), &out)) {
-        ++counters->disjuncts_executed;
-        result.error = op.error();
-        return result;
+        fail(lane.d, op.error());
+        break;
       }
       if (options.max_bindings != 0 &&
           op.rows_out() > options.max_bindings) {
-        ++counters->disjuncts_executed;
-        result.error = "execution exceeded max_bindings (" +
-                       std::to_string(options.max_bindings) +
-                       ") at literal " + op.literal().ToString();
-        return result;
+        fail(lane.d, "execution exceeded max_bindings (" +
+                         std::to_string(options.max_bindings) +
+                         ") at literal " + op.literal().ToString());
+        break;
       }
       // A dead morsel is simply not pushed downstream — later operators
       // never see it, never choose a pattern, never error, reproducing
@@ -242,7 +244,7 @@ ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
     }
   }
 
-  result.ok = true;
+  result.ok = result.failed == chains.size();
   result.sinks.reserve(chains.size());
   for (Chain& chain : chains) {
     result.sinks.push_back(std::move(chain.materialize));
@@ -255,10 +257,11 @@ UnionChainsResult ExecuteChainsDag(
     const Catalog& catalog, Source* source, const ExecutionOptions& options,
     const CostModel& model, Clock* clock, OperatorCounters* counters) {
   ChainSinks run = RunChainsDag(disjuncts, catalog, source, options, model,
-                                clock, counters);
+                                clock, counters, /*project_heads=*/false);
   UnionChainsResult result;
   result.ok = run.ok;
   result.error = std::move(run.error);
+  if (!run.ok) return result;
   const TermDictionary& dict = TermDictionary::Global();
   for (const MaterializeOp& sink : run.sinks) {
     result.bindings.push_back(sink.Bindings(dict));

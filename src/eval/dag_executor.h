@@ -28,11 +28,15 @@ struct UnionChainsResult {
 };
 
 // The same drive before any decoding: one Materialize sink per disjunct
-// in input order, holding its surviving id morsels in witness order (or
-// none when !ok). Execute projects heads straight from these.
+// in input order, holding its surviving id morsels. Execute projects
+// heads straight from these. When !ok, chain `failed` failed with
+// `error`, the chains after it were stopped, and the sinks of the chains
+// before it are complete — exactly what a sequential union would have
+// run before meeting that error.
 struct ChainSinks {
   bool ok = false;
   std::string error;
+  std::size_t failed = 0;
   std::vector<MaterializeOp> sinks;
 };
 
@@ -59,6 +63,11 @@ struct ChainSinks {
 //     to the next stage's queue, so rows reach every operator — and the
 //     sink — in the left-to-right derivation order whatever the knobs.
 //
+//   - Failure: when chain k fails, chains after k stop and chains
+//     before k keep running until they finish or fail, so the error
+//     reported is the lowest-index one — the sequential union's. At
+//     disjunct_concurrency 1 nothing is left to run.
+//
 // All staging, fetching, and merging happens on the calling thread —
 // concurrency is overlap of waves in flight, not executor threads — so
 // answers and witness order are independent of every knob. Rounds with a
@@ -71,13 +80,21 @@ struct ChainSinks {
 // every pattern decision. `clock` may be null (no overlap accounting).
 // `source` is the effective source — any runtime stack has already been
 // interposed by the caller.
+//
+// With `project_heads`, each operator keeps only the columns its
+// disjunct's head or a later literal reads and merges duplicate rows
+// under witness weights (eval/frontier.h): the sinks then hold each
+// head projection's first occurrence, good for ProjectHead only, while
+// every wave, pattern decision and max_bindings error stays the one a
+// non-projecting drive makes at a whole-frontier schedule.
 ChainSinks RunChainsDag(const std::vector<const ConjunctiveQuery*>& disjuncts,
                         const Catalog& catalog, Source* source,
                         const ExecutionOptions& options,
                         const CostModel& model, Clock* clock,
-                        OperatorCounters* counters);
+                        OperatorCounters* counters, bool project_heads);
 
-// RunChainsDag with each sink read out as Substitutions (witness order).
+// RunChainsDag without projection, each sink read out as Substitutions
+// (witness order).
 UnionChainsResult ExecuteChainsDag(
     const std::vector<const ConjunctiveQuery*>& disjuncts,
     const Catalog& catalog, Source* source, const ExecutionOptions& options,

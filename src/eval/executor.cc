@@ -200,8 +200,9 @@ ExecutionResult ExecuteDisjunct(const ConjunctiveQuery& q,
     ProjectBindings(q, body.bindings, &result);
     return result;
   }
-  ChainSinks chains = RunChainsDag({&q}, catalog, run.source, options,
-                                   *run.model, run.clock, run.counters);
+  ChainSinks chains =
+      RunChainsDag({&q}, catalog, run.source, options, *run.model, run.clock,
+                   run.counters, /*project_heads=*/true);
   if (!chains.ok) {
     result.error = std::move(chains.error);
     return result;
@@ -226,31 +227,34 @@ ExecutionResult ExecuteUnion(const UnionQuery& q, const Catalog& catalog,
     }
     return result;
   }
-  // Concurrent disjuncts: true-queries resolve inline (in disjunct
-  // order), then every remaining chain races through one DAG drive. Heads
-  // project in disjunct order afterwards, so the answer set matches the
-  // sequential loop above. When more than one disjunct would fail, the
-  // error reported is the first in round order, not in disjunct order.
+  // Concurrent disjuncts: every body races through one DAG drive, then
+  // the disjuncts are walked in order — true-queries resolve inline,
+  // bodies project their heads — so the answer set and the first error
+  // are the sequential loop's above: the drive stops chains after a
+  // failing one and completes those before it.
   std::vector<const ConjunctiveQuery*> bodies;
   for (const ConjunctiveQuery& disjunct : disjuncts) {
-    if (!disjunct.IsTrueQuery()) {
-      bodies.push_back(&disjunct);
+    if (!disjunct.IsTrueQuery()) bodies.push_back(&disjunct);
+  }
+  ChainSinks chains;
+  if (!bodies.empty()) {
+    chains = RunChainsDag(bodies, catalog, run.source, options, *run.model,
+                          run.clock, run.counters, /*project_heads=*/true);
+  }
+  std::size_t body = 0;
+  for (const ConjunctiveQuery& disjunct : disjuncts) {
+    if (disjunct.IsTrueQuery()) {
+      ExecutionResult part = ExecuteTrueQuery(disjunct);
+      if (!part.ok) return part;
+      result.tuples.insert(part.tuples.begin(), part.tuples.end());
       continue;
     }
-    ExecutionResult part = ExecuteTrueQuery(disjunct);
-    if (!part.ok) return part;
-    result.tuples.insert(part.tuples.begin(), part.tuples.end());
-  }
-  if (bodies.empty()) return result;
-  ChainSinks chains = RunChainsDag(bodies, catalog, run.source, options,
-                                   *run.model, run.clock, run.counters);
-  if (!chains.ok) {
-    ExecutionResult failed;
-    failed.error = std::move(chains.error);
-    return failed;
-  }
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    if (!ProjectSink(*bodies[i], chains.sinks[i], &result)) break;
+    if (!chains.ok && body == chains.failed) {
+      ExecutionResult failed;
+      failed.error = std::move(chains.error);
+      return failed;
+    }
+    if (!ProjectSink(disjunct, chains.sinks[body++], &result)) break;
   }
   return result;
 }

@@ -2,14 +2,31 @@
 #define UCQN_EVAL_FRONTIER_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/substitution.h"
 #include "dict/term_dictionary.h"
 
 namespace ucqn {
+
+// Witness-count arithmetic: saturates at 2^64 - 1 instead of wrapping, so
+// a count that passes every max_bindings bound stays past it.
+inline std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t sum;
+  return __builtin_add_overflow(a, b, &sum)
+             ? std::numeric_limits<std::uint64_t>::max()
+             : sum;
+}
+inline std::uint64_t SaturatingMul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t product;
+  return __builtin_mul_overflow(a, b, &product)
+             ? std::numeric_limits<std::uint64_t>::max()
+             : product;
+}
 
 // The executor's live bindings in columnar form: one contiguous id
 // column per bound variable, rows in derivation order. This is the
@@ -19,10 +36,18 @@ namespace ucqn {
 // gathers every column once through a selection vector, and filtering
 // through a negated literal compacts the columns through one.
 //
-// Row order is the paper's witness order (left-to-right derivation):
-// every operation here preserves it, which is what lets the operator
-// DAG decode back to exactly the Substitution sequence the per-binding
-// reference loop produces.
+// Each row carries a witness weight: how many derivations (reference-loop
+// bindings) it stands for. The weights are empty — every row weight 1 —
+// on the witness path (ExecuteForBindings), where row order is the
+// paper's witness order (left-to-right derivation) and every operation
+// here preserves it, which is what lets the operator DAG decode back to
+// exactly the Substitution sequence the per-binding reference loop
+// produces. On the head-projecting path (Execute) a join keeps only its
+// live columns — the variables the head or a later literal reads — and
+// merges rows that agree on them into the first occurrence, summing
+// weights: the rows are then the first-occurrence subsequence of the
+// projected witness rows, and TotalWeight() is still the reference
+// loop's binding count, which pattern pricing and max_bindings read.
 class ColumnarFrontier {
  public:
   static constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
@@ -48,6 +73,19 @@ class ColumnarFrontier {
     return columns_[c];
   }
 
+  // Row `row`'s witness weight.
+  std::uint64_t Weight(std::size_t row) const {
+    return weights_.empty() ? 1 : weights_[row];
+  }
+  // Per-row weights, or empty when every row has weight 1.
+  const std::vector<std::uint64_t>& weights() const { return weights_; }
+  // Replaces the weights: one per row, or empty for all 1.
+  void SetWeights(std::vector<std::uint64_t> weights) {
+    weights_ = std::move(weights);
+  }
+  // The number of witnesses the rows stand for (saturating).
+  std::uint64_t TotalWeight() const;
+
   // Appends an empty column for `var` (must be unbound) and returns its
   // index. The caller fills it to the row count it is building toward.
   std::size_t AddVar(const std::string& var);
@@ -57,14 +95,24 @@ class ColumnarFrontier {
   void SetRows(std::size_t rows) { rows_ = rows; }
 
   // Keeps exactly the rows in `selection` (ascending row indices),
-  // compacting every column in place. The anti-join filter of a
-  // negated literal.
+  // compacting every column and the weights in place. The anti-join
+  // filter of a negated literal.
   void Retain(const std::vector<std::uint32_t>& selection);
 
   // A frontier over the same variables whose row i is row selection[i]
-  // of this one (any order, repeats allowed): one gather per column. The
-  // join's output before its new variables' columns are appended.
+  // of this one (any order, repeats allowed): one gather per column and
+  // one for the weights. The join's output before its new variables'
+  // columns are appended.
   ColumnarFrontier Gather(const std::vector<std::uint32_t>& selection) const;
+  // The same over only `columns` (indices into this frontier, in the
+  // order the result's columns take): a projecting join's live columns.
+  ColumnarFrontier Gather(const std::vector<std::uint32_t>& selection,
+                          const std::vector<std::size_t>& columns) const;
+
+  // Appends rows [begin, end) of `from`, which has the same variables,
+  // with their weights.
+  void AppendRows(const ColumnarFrontier& from, std::size_t begin,
+                  std::size_t end);
 
   // Decodes row `row` back into the Substitution the reference-loop
   // executor would have built — the witness readout of the sink.
@@ -77,6 +125,7 @@ class ColumnarFrontier {
   std::vector<std::string> vars_;
   std::unordered_map<std::string, std::size_t> var_index_;
   std::vector<std::vector<std::uint32_t>> columns_;
+  std::vector<std::uint64_t> weights_;
   std::size_t rows_ = 1;
 };
 

@@ -20,7 +20,7 @@ namespace ucqn {
 //     a group; a group's chain lists its entries in Append order, so
 //     duplicate keys come back in insertion (= fetch) order.
 //
-// Not thread-safe; each operator owns its tables.
+// Not thread-safe; each DAG drive owns its tables (KernelScratch).
 class IdTable {
  public:
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;

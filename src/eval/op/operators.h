@@ -34,34 +34,68 @@ struct PendingWave {
   std::vector<std::uint32_t> keys;
 };
 
+// The fetch kernels' scratch buffers. Each is used only within one Stage
+// or Absorb call, so every operator of a drive shares one set (RunChainsDag
+// owns it), and the buffers grow to the largest wave and stay: steady
+// state allocates nothing per row or per operator.
+struct KernelScratch {
+  // Wave dedup, tuple merge, the join's filter build, the anti-join build.
+  IdTable table;
+  IdTable row_table;  // a projecting join's output-row merge
+  std::vector<std::uint32_t> key;
+  std::vector<std::uint32_t> row_key;
+  std::vector<std::uint32_t> tuples;  // kept fetched tuples, arity ids each
+  std::vector<std::uint64_t> tuple_weight;  // per kept tuple, when merging
+  std::vector<std::size_t> tuple_end;       // per request: end of its range
+  std::vector<std::uint32_t> sel_rows;
+  std::vector<std::uint32_t> sel_tuples;
+  std::vector<std::uint64_t> sel_weights;  // per selected pair, projecting
+};
+
 // A source-literal operator of the DAG (AccessScan / HashJoin / Filter /
 // HashAntiJoin — the kind is a lowering-time classification; all four
 // share one fetch-and-merge core). Push-based with an explicit seam:
 // Stage(morsel) chooses the access pattern (first morsel only;
-// live_bindings = that morsel's rows) and builds the deduplicated wave;
-// the driver fetches; Absorb(wave, results) merges into the output
-// morsel.
+// live_bindings = that morsel's witness count) and builds the
+// deduplicated wave; the driver fetches; Absorb(wave, results) merges
+// into the output morsel.
+//
+// A projecting operator (the head-projecting Execute path) also decides
+// once, in Prepare, which frontier columns and new variables the head or
+// a later literal reads. Its join keeps only those live columns and
+// merges rows that agree on them under summed witness weights (see
+// eval/frontier.h); every wave it stages is still the one the
+// non-projecting operator would stage at a whole-frontier schedule,
+// because merging keeps the first occurrence of every live-column value.
 //
 // Not thread-safe; one instance belongs to one execution's chain.
 class FetchOperator {
  public:
-  // None of the pointers are owned; all must outlive the operator.
-  FetchOperator(OperatorKind kind, const Literal* literal,
-                const Catalog* catalog, const CostModel* model,
-                OperatorCounters* counters)
+  // Runs body literal `index` of `disjunct`; `project` drops what
+  // neither the head nor a later literal reads. None of the pointers are
+  // owned; all must outlive the operator.
+  FetchOperator(OperatorKind kind, const ConjunctiveQuery* disjunct,
+                std::size_t index, bool project, const Catalog* catalog,
+                const CostModel* model, OperatorCounters* counters,
+                KernelScratch* scratch)
       : kind_(kind),
-        literal_(literal),
+        disjunct_(disjunct),
+        index_(index),
+        literal_(&disjunct->body()[index]),
+        project_(project),
         catalog_(catalog),
         model_(model),
-        counters_(counters) {}
+        counters_(counters),
+        scratch_(scratch) {}
 
   OperatorKind kind() const { return kind_; }
   const Literal& literal() const { return *literal_; }
   // Set by the first successful Stage.
   const std::optional<AccessPattern>& pattern() const { return pattern_; }
-  // Cumulative output rows across all absorbed morsels — the DAG's
-  // reading of the per-literal frontier size, which max_bindings bounds.
-  std::size_t rows_out() const { return rows_out_; }
+  // Cumulative output witnesses (row weights, saturating) across all
+  // absorbed morsels — the DAG's reading of the per-literal frontier
+  // size, which max_bindings bounds.
+  std::uint64_t rows_out() const { return rows_out_; }
   const std::string& error() const { return error_; }
 
   // Classifies slots and chooses the pattern on first contact, then
@@ -70,7 +104,8 @@ class FetchOperator {
 
   // Merges one fetched wave into `out` (join kinds append matched rows
   // column-wise; the anti-join retains non-members), preserving row
-  // order. False on failure (a failed fetch, reported in request order).
+  // order (first occurrences, when projecting). False on failure (a
+  // failed fetch, reported in request order).
   bool Absorb(PendingWave&& wave, std::vector<FetchResult> fetched,
               ColumnarFrontier* out);
 
@@ -85,20 +120,28 @@ class FetchOperator {
   };
 
   bool Prepare(const ColumnarFrontier& frontier);
+  // Whether the head or a body literal after this one reads `var`.
+  bool ReadDownstream(const std::string& var) const;
   bool Fail(std::string error) {
     error_ = std::move(error);
     return false;
   }
-  // Encodes the fetched tuples request by request into `tuples_`
+  // Encodes the fetched tuples request by request into scratch_->tuples
   // (arity ids each), dropping those no unification could accept: wrong
   // arity or not ground. With `agree`, also drops those that disagree
   // with a constant, a repeated variable, or the request's own input
-  // values. tuple_end_[f] closes request f's range.
+  // values. With `merge`, keeps only the first of the request's tuples
+  // that agree on the filter slots and the live binder slots, counting
+  // the rest into scratch_->tuple_weight. scratch_->tuple_end[f] closes
+  // request f's range.
   void EncodeTuples(const std::vector<FetchResult>& fetched,
-                    const std::vector<std::uint32_t>& keys, bool agree);
+                    const std::vector<std::uint32_t>& keys, bool agree,
+                    bool merge);
   // The positive-literal kernel: (row, tuple) pairs in row order x fetch
-  // order into the selection vectors, then one gather per column.
-  void Join(const ColumnarFrontier& frontier,
+  // order into the selection vectors (merged on the live output columns
+  // under summed weights when merge_rows_), then one gather per live
+  // column. Consumes `frontier`'s weights.
+  void Join(ColumnarFrontier* frontier,
             const std::vector<std::uint32_t>& slot_of, ColumnarFrontier* out);
   // The negated-literal kernel: keeps the rows whose instantiation is
   // not among their request's tuples.
@@ -106,10 +149,14 @@ class FetchOperator {
                 ColumnarFrontier* frontier);
 
   OperatorKind kind_;
+  const ConjunctiveQuery* disjunct_;
+  std::size_t index_;
   const Literal* literal_;
+  bool project_;
   const Catalog* catalog_;
   const CostModel* model_;
   OperatorCounters* counters_;
+  KernelScratch* scratch_;
 
   bool prepared_ = false;
   std::optional<AccessPattern> pattern_;
@@ -121,20 +168,20 @@ class FetchOperator {
   // after the request). Set by Prepare.
   std::vector<std::size_t> input_slots_;
   std::vector<std::size_t> filter_slots_;
+  // What the join's output keeps: the frontier columns (in column order)
+  // and the binder slots whose variables are read downstream — all of
+  // them unless projecting. When projecting, a request's tuples merge
+  // when a binder dies (merge_tuples_), and output rows merge on these
+  // when an input column dies (merge_rows_).
+  std::vector<std::size_t> live_columns_;
+  std::vector<std::size_t> live_binders_;
+  bool merge_tuples_ = false;
+  bool merge_rows_ = false;
   // A request before its input-slot values: constants at constant input
   // slots, empty elsewhere.
   std::vector<std::optional<Term>> request_template_;
-  std::size_t rows_out_ = 0;
+  std::uint64_t rows_out_ = 0;
   std::string error_;
-
-  // Kernel buffers, reused across morsels so steady state allocates
-  // nothing per row.
-  IdTable table_;
-  std::vector<std::uint32_t> key_;
-  std::vector<std::uint32_t> tuples_;
-  std::vector<std::size_t> tuple_end_;
-  std::vector<std::uint32_t> sel_rows_;
-  std::vector<std::uint32_t> sel_tuples_;
 };
 
 // The chain sink: owns the surviving morsels (moved in, in push =
@@ -149,7 +196,8 @@ class MaterializeOp {
   }
 
   // Every row as the Substitution the reference loop would have built,
-  // in witness order.
+  // in witness order. Only meaningful after a non-projecting drive (every
+  // row weight 1, every column kept).
   std::vector<Substitution> Bindings(const TermDictionary& dict) const;
 
   // Inserts the distinct projections of every row through `head` into

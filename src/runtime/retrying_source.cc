@@ -13,8 +13,7 @@ RetryingSource::RetryingSource(Source* inner, RetryPolicy policy,
     : inner_(inner),
       policy_(policy),
       budget_(budget),
-      clock_(clock != nullptr ? clock : &own_clock_),
-      rng_(policy.jitter_seed) {
+      clock_(clock != nullptr ? clock : &own_clock_) {
   UCQN_CHECK_MSG(policy_.max_attempts >= 1, "retry needs at least 1 attempt");
   budget_start_micros_ = clock_->NowMicros();
 }
@@ -48,8 +47,9 @@ std::uint64_t RetryingSource::BackoffMicrosLocked(int attempt) {
                    std::pow(policy_.backoff_multiplier, attempt - 1);
   backoff = std::min(backoff, static_cast<double>(policy_.max_backoff_micros));
   if (policy_.jitter > 0.0) {
+    if (!rng_.has_value()) rng_.emplace(policy_.jitter_seed);
     std::uniform_real_distribution<double> dist(0.0, policy_.jitter);
-    backoff *= 1.0 + dist(rng_);
+    backoff *= 1.0 + dist(*rng_);
   }
   return static_cast<std::uint64_t>(backoff);
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -97,7 +98,10 @@ class RetryingSource : public Source {
   SimulatedClock own_clock_;
   Clock* clock_;
   std::mutex mu_;
-  std::mt19937_64 rng_;
+  // The jitter generator, seeded from policy_.jitter_seed on the first
+  // jittered backoff: most stacks never back off, and seeding an
+  // mt19937_64 costs more than the rest of the constructor.
+  std::optional<std::mt19937_64> rng_;
   RetryStats stats_;
   std::uint64_t calls_used_ = 0;
   std::uint64_t budget_start_micros_ = 0;

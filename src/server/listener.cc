@@ -106,17 +106,31 @@ void SocketListener::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listen fd shut down (Stop) or broken — either way, done
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load()) {
-      ::close(fd);
-      break;
+    // Join the threads of connections closed since the last accept, so
+    // a long-lived listener keeps only live connections' threads.
+    std::vector<std::thread> reaped;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (!running_.load()) {
+        ::close(fd);
+        break;
+      }
+      for (const std::uint64_t id : finished_) {
+        auto it = conn_threads_.find(id);
+        reaped.push_back(std::move(it->second));
+        conn_threads_.erase(it);
+      }
+      finished_.clear();
+      conn_fds_.push_back(fd);
+      const std::uint64_t id = next_id_++;
+      conn_threads_.emplace(
+          id, std::thread([this, fd, id] { ServeConnection(fd, id); }));
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    for (std::thread& t : reaped) t.join();
   }
 }
 
-void SocketListener::ServeConnection(int fd) {
+void SocketListener::ServeConnection(int fd, std::uint64_t id) {
   // Byte-stream to line framing: accumulate reads, cut on '\n'. Each line
   // is one request; each response is written before the next line is
   // served, so a pipelining client gets responses in request order.
@@ -159,8 +173,14 @@ void SocketListener::ServeConnection(int fd) {
     // Absent once Stop has taken the list.
     auto it = std::find(conn_fds_.begin(), conn_fds_.end(), fd);
     if (it != conn_fds_.end()) conn_fds_.erase(it);
+    finished_.push_back(id);
   }
   ::close(fd);
+}
+
+std::size_t SocketListener::connection_threads() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_threads_.size();
 }
 
 std::size_t SocketListener::open_connections() {
@@ -177,15 +197,17 @@ void SocketListener::Stop() {
   ::close(listen_fd_);
   listen_fd_ = -1;
 
-  std::vector<std::thread> threads;
+  std::unordered_map<std::uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     conn_fds_.clear();
     threads.swap(conn_threads_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (auto& [id, t] : threads) t.join();
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    finished_.clear();  // every id in it was joined above
   }
   if (!path_.empty()) ::unlink(path_.c_str());
 }

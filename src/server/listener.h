@@ -3,11 +3,13 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <istream>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "server/daemon.h"
@@ -63,11 +65,16 @@ class SocketListener {
   bool running() const { return running_.load(); }
   // Connections accepted and not yet closed.
   std::size_t open_connections();
+  // Connection threads not yet joined: the open connections' plus those
+  // that finished since the accept loop last reaped (it joins finished
+  // threads at every accept, so this stays bounded by the open count plus
+  // the connections closed since the last accept).
+  std::size_t connection_threads();
   const std::string& path() const { return path_; }
 
  private:
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(int fd, std::uint64_t id);
 
   QueryDaemon* daemon_;
   std::string path_;
@@ -78,7 +85,11 @@ class SocketListener {
   // Open connection fds, guarded by conn_mu_. A connection removes its
   // own fd before closing it, so Stop never shuts down a reused number.
   std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;  // guarded by conn_mu_
+  // Connection threads by id, and the ids of those whose connection has
+  // closed (joined at the next accept or at Stop), guarded by conn_mu_.
+  std::unordered_map<std::uint64_t, std::thread> conn_threads_;
+  std::vector<std::uint64_t> finished_;
+  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace ucqn

@@ -7,7 +7,8 @@
 // heads with constants and null, and a source that breaks its contract
 // (tuples that disagree at input slots, have the wrong arity, or carry a
 // variable). Witnesses must agree in order, answers as sets, and errors
-// word for word, at every morsel size and pipeline depth.
+// word for word, at every morsel size and pipeline depth (and, for
+// unions, disjunct concurrency).
 
 #include <gtest/gtest.h>
 
@@ -302,12 +303,9 @@ TEST(OperatorKernelTest, RandomUnionsProjectLikeTheReferenceLoop) {
         const ExecutionResult dag = Execute(q, catalog, &source, options);
         EXPECT_EQ(dag.ok, ref.ok);
         EXPECT_EQ(dag.tuples, ref.tuples);
-        // Racing disjuncts report the first failure in round order, which
-        // need not be the first in disjunct order; sequential unions
-        // report exactly the reference loop's error.
-        if (concurrency == 1) {
-          EXPECT_EQ(dag.error, ref.error);
-        }
+        // Racing disjuncts still report the first failure in disjunct
+        // order: exactly the reference loop's error.
+        EXPECT_EQ(dag.error, ref.error);
       }
     }
   }

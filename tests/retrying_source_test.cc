@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "ast/parser.h"
 #include "eval/executor.h"
 #include "runtime/fault_injection.h"
@@ -107,6 +110,41 @@ TEST_F(RetryingSourceTest, JitterIsSeededAndBounded) {
   EXPECT_LT(a, 4500u);
   EXPECT_EQ(a, run(7));  // same seed, same schedule
   EXPECT_NE(a, run(8));  // different seed, different schedule
+}
+
+// A clock that records every backoff sleep.
+class SleepRecordingClock : public Clock {
+ public:
+  std::uint64_t NowMicros() override { return now_; }
+  void SleepMicros(std::uint64_t micros) override {
+    now_ += micros;
+    sleeps.push_back(micros);
+  }
+  std::vector<std::uint64_t> sleeps;
+
+ private:
+  std::uint64_t now_ = 0;
+};
+
+// The jitter stream is a pure function of the seed, however lazily the
+// generator is built: the first three backoffs of seed 42 are golden.
+TEST_F(RetryingSourceTest, JitteredBackoffsAreGoldenForAFixedSeed) {
+  DatabaseSource backend(&db_, &catalog_);
+  FaultPlan faults;
+  faults.fail_first_per_key = 3;
+  FaultInjectingSource flaky(&backend, faults);
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.initial_backoff_micros = 100;
+  policy.backoff_multiplier = 2.0;
+  policy.jitter = 0.5;
+  policy.jitter_seed = 42;
+  SleepRecordingClock clock;
+  RetryingSource retrying(&flaky, policy, CallBudget{}, &clock);
+  ASSERT_TRUE(retrying.Fetch("S", AccessPattern::MustParse("o"),
+                             {std::nullopt})
+                  .ok());
+  EXPECT_EQ(clock.sleeps, (std::vector<std::uint64_t>{137, 263, 550}));
 }
 
 TEST_F(RetryingSourceTest, CallBudgetRefusesFurtherCalls) {

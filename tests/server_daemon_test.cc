@@ -827,6 +827,29 @@ TEST_F(DaemonTest, ListenerStopLeavesReusedDescriptorsAlone) {
   }
 }
 
+// The accept loop joins the threads of closed connections, so serving
+// connections one after another keeps O(1) threads until Stop.
+TEST_F(DaemonTest, ListenerReapsFinishedConnectionThreads) {
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon daemon(&catalog_, &backend, {});
+  SocketListener listener(&daemon);
+  std::string error;
+  ASSERT_TRUE(listener.Start(SocketPath("reap"), &error)) << error;
+  for (int i = 0; i < 32; ++i) {
+    {
+      Client client(listener.path());
+      ASSERT_TRUE(client.connected());
+      ASSERT_TRUE(client.Send(R"({"id": "q", "query": "Q(x) :- L(x)."})"
+                              "\n"));
+      ASSERT_TRUE(client.ReadLine().has_value());
+    }
+    ASSERT_TRUE(WaitForNoConnections(&listener));
+  }
+  EXPECT_LE(listener.connection_threads(), 2u);
+  listener.Stop();
+  EXPECT_EQ(listener.connection_threads(), 0u);
+}
+
 TEST_F(DaemonTest, ListenerCapsRequestLinesThenClosesTheConnection) {
   DatabaseSource backend(&db_, &catalog_);
   QueryDaemon daemon(&catalog_, &backend, {});
